@@ -103,10 +103,8 @@ func measure(c runConfig, r *report, load loadFunc) loopResult {
 // setUp builds an index setupReps times from inputs already in memory and
 // keeps the last build. It records the median build time as setup_s and
 // the live heap the kept build added, per series, as
-// heap_bytes_per_series. device, when not nil, returns the bytes a
-// simulated device holds in the heap, which are not the program's memory
-// and are subtracted.
-func setUp[T any](r *report, n int, build func() (T, error), discard func(T), device func() int64) (T, error) {
+// heap_bytes_per_series.
+func setUp[T interface{ Close() }](r *report, n int, build func() (T, error)) (T, error) {
 	var ix T
 	var times []float64
 	for rep := range setupReps {
@@ -119,14 +117,10 @@ func setUp[T any](r *report, n int, build func() (T, error), discard func(T), de
 		}
 		times = append(times, el.Seconds())
 		if rep < setupReps-1 {
-			discard(x)
+			x.Close()
 			continue
 		}
-		heap := float64(liveHeap()) - float64(before)
-		if device != nil {
-			heap -= float64(device())
-		}
-		r.set("heap_bytes_per_series", heap/float64(n))
+		r.set("heap_bytes_per_series", (float64(liveHeap())-float64(before))/float64(n))
 		ix = x
 	}
 	r.set("setup_s", middle(times))
@@ -172,7 +166,7 @@ func runMemExact(c runConfig, r *report) error {
 	const n = 200_000
 	coll := randomWalks(c.seed, streamBase, n)
 	queries := queryPool(c.seed, coll, poolSize)
-	ix, err := setUp(r, n, func() (*dsidx.MESSI, error) { return dsidx.NewMESSI(coll) }, (*dsidx.MESSI).Close, nil)
+	ix, err := setUp(r, n, func() (*dsidx.MESSI, error) { return dsidx.NewMESSI(coll) })
 	if err != nil {
 		return err
 	}
@@ -263,7 +257,7 @@ func runServeMix(c runConfig, r *report) error {
 	near := nearPool(c.seed, coll, poolSize)
 	ix, err := setUp(r, n, func() (*dsidx.Sharded, error) {
 		return dsidx.NewSharded(coll, dsidx.WithShards(shards), dsidx.WithShardPolicy(dsidx.ShardRoundRobin))
-	}, (*dsidx.Sharded).Close, nil)
+	})
 	if err != nil {
 		return err
 	}
