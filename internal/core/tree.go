@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"dsidx/internal/isax"
@@ -24,6 +25,10 @@ type Tree struct {
 
 	mu       sync.Mutex
 	occupied []uint32 // keys of non-nil root children, in creation order
+	// sorted is the ascending form of occupied, built by RootKeys on first
+	// use and dropped whenever a key is added. Never mutated once built,
+	// so clones share it and callers read it without copying.
+	sorted []uint32
 }
 
 // NewTree creates an empty tree for the configuration (defaults applied).
@@ -59,10 +64,16 @@ func (t *Tree) ensureRoot(key uint32) *Node {
 	}
 	n := &Node{Word: isax.RootWordFromKey(key, t.cfg.Segments)}
 	t.roots[key] = n
+	t.register(key)
+	return n
+}
+
+// register records a newly occupied root key and drops the sorted list.
+func (t *Tree) register(key uint32) {
 	t.mu.Lock()
 	t.occupied = append(t.occupied, key)
+	t.sorted = nil
 	t.mu.Unlock()
-	return n
 }
 
 // CloneShell returns a new tree sharing every subtree pointer (and the
@@ -73,10 +84,11 @@ func (t *Tree) CloneShell() *Tree {
 	t.mu.Lock()
 	occ := make([]uint32, len(t.occupied))
 	copy(occ, t.occupied)
+	sorted := t.sorted
 	t.mu.Unlock()
 	roots := make([]*Node, len(t.roots))
 	copy(roots, t.roots)
-	return &Tree{cfg: t.cfg, quant: t.quant, roots: roots, occupied: occ}
+	return &Tree{cfg: t.cfg, quant: t.quant, roots: roots, occupied: occ, sorted: sorted}
 }
 
 // SetSubtree installs n as the root child for key, registering the key if
@@ -90,9 +102,7 @@ func (t *Tree) SetSubtree(key uint32, n *Node) {
 	fresh := t.roots[key] == nil
 	t.roots[key] = n
 	if fresh {
-		t.mu.Lock()
-		t.occupied = append(t.occupied, key)
-		t.mu.Unlock()
+		t.register(key)
 	}
 }
 
@@ -161,6 +171,20 @@ func (t *Tree) OccupiedKeys() []uint32 {
 	out := make([]uint32, len(t.occupied))
 	copy(out, t.occupied)
 	return out
+}
+
+// RootKeys returns the keys of existing root subtrees in ascending order.
+// The slice is shared and must not be modified: it is built once per set
+// of keys (a published snapshot never gains keys, so every query over it
+// reuses one list), where OccupiedKeys copies on every call.
+func (t *Tree) RootKeys() []uint32 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.sorted == nil && len(t.occupied) > 0 {
+		t.sorted = slices.Clone(t.occupied)
+		slices.Sort(t.sorted)
+	}
+	return t.sorted
 }
 
 // Count returns the total number of indexed series.
@@ -305,29 +329,12 @@ func (n *Node) MaterializeLeaves(sl int, fetch func(pos int32) []float32) {
 	})
 }
 
-// PruneWalk traverses the subtree rooted at n, pruning every node whose
-// lower-bound distance to the query is at least bsf() at visit time, and
-// calls emit with each surviving leaf and its lower bound. This is the
-// node-level pruning of MESSI stage 3.
-func (t *Tree) PruneWalk(n *Node, queryPAA []float64, bsf func() float64, emit func(*Node, float64)) {
-	if n == nil {
-		return
-	}
-	d := isax.MinDist(t.quant, queryPAA, n.Word, t.cfg.SeriesLen)
-	if d >= bsf() {
-		return
-	}
-	if n.IsLeaf() {
-		emit(n, d)
-		return
-	}
-	t.PruneWalk(n.Left, queryPAA, bsf, emit)
-	t.PruneWalk(n.Right, queryPAA, bsf, emit)
-}
-
-// PruneWalkTable is PruneWalk with node bounds served by a precomputed
-// multi-cardinality table (one lookup per segment instead of region
-// arithmetic) — the hot path of MESSI query answering.
+// PruneWalkTable traverses the subtree rooted at n, pruning every node
+// whose lower-bound distance to the query is at least bsf() at visit time,
+// and calls emit with each surviving leaf and its lower bound — the
+// node-level pruning of MESSI stage 3. Node bounds come from a precomputed
+// multi-cardinality table: one lookup per segment instead of region
+// arithmetic.
 func (t *Tree) PruneWalkTable(n *Node, mt *isax.MultiTable, bsf func() float64, emit func(*Node, float64)) {
 	if n == nil {
 		return
@@ -342,6 +349,36 @@ func (t *Tree) PruneWalkTable(n *Node, mt *isax.MultiTable, bsf func() float64, 
 	}
 	t.PruneWalkTable(n.Left, mt, bsf, emit)
 	t.PruneWalkTable(n.Right, mt, bsf, emit)
+}
+
+// PruneRoots is the root level of PruneWalkTable over the root subtrees
+// named by keys (a block of RootKeys), without dereferencing a pruned
+// root. A key is skipped when its prefix bound (MultiTable.RootPrefix)
+// already reaches bsf(), then when its finished bound does; a survivor
+// that is a leaf is emitted with that bound, and an inner survivor's
+// children are walked by PruneWalkTable. Root words are exactly
+// RootWordFromKey(key) and the finished bound is bit-identical to
+// DistWord of that word, while the prefix never exceeds it, so the leaves
+// emitted and their bounds are those PruneWalkTable emits from each root.
+func (t *Tree) PruneRoots(keys []uint32, mt *isax.MultiTable, bsf func() float64, emit func(*Node, float64)) {
+	for _, key := range keys {
+		limit := bsf()
+		pre := mt.RootPrefix(key)
+		if pre >= limit {
+			continue
+		}
+		d := mt.RootFinish(key, pre)
+		if d >= limit {
+			continue
+		}
+		n := t.roots[key]
+		if n.IsLeaf() {
+			emit(n, d)
+			continue
+		}
+		t.PruneWalkTable(n.Left, mt, bsf, emit)
+		t.PruneWalkTable(n.Right, mt, bsf, emit)
+	}
 }
 
 // Stats summarizes tree shape for diagnostics and tests.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dsidx/internal/gen"
+	"dsidx/internal/isax"
 	"dsidx/internal/paa"
 	"dsidx/internal/series"
 )
@@ -231,20 +232,28 @@ func TestPruneWalkNeverPrunesTrueNN(t *testing.T) {
 
 		found := false
 		bsf := nnDist * 1.0000001
+		emit := func(leaf *Node, lb float64) {
+			if lb > bsf {
+				t.Errorf("emitted leaf with lb %v above bsf %v", lb, bsf)
+			}
+			for _, p := range leaf.Pos {
+				if int(p) == nnPos {
+					found = true
+				}
+			}
+		}
+		mt := isax.NewMultiTable(tree.Quantizer(), isax.NewQueryTable(tree.Quantizer(), qpaa, cfg.SeriesLen))
 		for _, key := range tree.OccupiedKeys() {
-			tree.PruneWalk(tree.Subtree(key), qpaa, func() float64 { return bsf }, func(leaf *Node, lb float64) {
-				if lb > bsf {
-					t.Errorf("emitted leaf with lb %v above bsf %v", lb, bsf)
-				}
-				for _, p := range leaf.Pos {
-					if int(p) == nnPos {
-						found = true
-					}
-				}
-			})
+			tree.PruneWalkTable(tree.Subtree(key), mt, func() float64 { return bsf }, emit)
 		}
 		if !found {
 			t.Fatalf("query %d: pruning discarded the true NN (dist %v)", qi, math.Sqrt(nnDist))
+		}
+		// The flat root pass MESSI queries run must keep it too.
+		found = false
+		tree.PruneRoots(tree.RootKeys(), mt, func() float64 { return bsf }, emit)
+		if !found {
+			t.Fatalf("query %d: the root pass discarded the true NN (dist %v)", qi, math.Sqrt(nnDist))
 		}
 	}
 }

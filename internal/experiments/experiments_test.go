@@ -71,43 +71,63 @@ func TestByIDAndIDs(t *testing.T) {
 
 // TestAllExperimentsSmoke runs every registered experiment at tiny scale
 // and validates that each produces a well-formed, plausible table.
+//
+// The experiments that measure memory (residentBytes' forced-GC HeapAlloc
+// deltas, which are process-global) run first and one at a time: while
+// parallel siblings allocate and free on other CPUs, their delta can
+// come out negative. The rest run in parallel once this function returns.
 func TestAllExperimentsSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments are slow in -short mode")
 	}
+	measuresHeap := map[string]bool{"mem": true, "outofcore": true}
 	for _, e := range All {
-		e := e
-		t.Run(e.ID, func(t *testing.T) {
-			t.Parallel()
-			tbl, err := e.Run(tiny())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if tbl.ID != e.ID {
-				t.Errorf("table ID %q != %q", tbl.ID, e.ID)
-			}
-			if len(tbl.Rows) == 0 || len(tbl.Columns) == 0 {
-				t.Fatalf("empty table: %+v", tbl)
-			}
-			for _, r := range tbl.Rows {
-				if len(r.Values) != len(tbl.Columns) {
-					t.Errorf("row %q has %d values for %d columns", r.Label, len(r.Values), len(tbl.Columns))
-				}
-				for i, v := range r.Values {
-					if v < 0 {
-						t.Errorf("row %q value %d negative: %v", r.Label, i, v)
-					}
-				}
-			}
-			var sb strings.Builder
-			if _, err := tbl.WriteTo(&sb); err != nil {
-				t.Fatal(err)
-			}
-			if !strings.Contains(sb.String(), e.ID) {
-				t.Error("rendered table missing ID")
-			}
-		})
+		if measuresHeap[e.ID] {
+			smokeExperiment(t, e, false)
+		}
 	}
+	for _, e := range All {
+		if !measuresHeap[e.ID] {
+			smokeExperiment(t, e, true)
+		}
+	}
+}
+
+// smokeExperiment runs e as a subtest of t, in t's parallel group when
+// parallel is set.
+func smokeExperiment(t *testing.T, e Experiment, parallel bool) {
+	t.Run(e.ID, func(t *testing.T) {
+		if parallel {
+			t.Parallel()
+		}
+		tbl, err := e.Run(tiny())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tbl.ID != e.ID {
+			t.Errorf("table ID %q != %q", tbl.ID, e.ID)
+		}
+		if len(tbl.Rows) == 0 || len(tbl.Columns) == 0 {
+			t.Fatalf("empty table: %+v", tbl)
+		}
+		for _, r := range tbl.Rows {
+			if len(r.Values) != len(tbl.Columns) {
+				t.Errorf("row %q has %d values for %d columns", r.Label, len(r.Values), len(tbl.Columns))
+			}
+			for i, v := range r.Values {
+				if v < 0 {
+					t.Errorf("row %q value %d negative: %v", r.Label, i, v)
+				}
+			}
+		}
+		var sb strings.Builder
+		if _, err := tbl.WriteTo(&sb); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(sb.String(), e.ID) {
+			t.Error("rendered table missing ID")
+		}
+	})
 }
 
 // readOnlyRun loads path's trajectory envelope and returns its single

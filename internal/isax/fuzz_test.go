@@ -101,3 +101,51 @@ func fuzzSeries(data []byte, n int) series.Series {
 	}
 	return out
 }
+
+// FuzzRootBound drives checkRootBounds with fuzzer-chosen queries: byte 0
+// picks the segment count (16, 8, 5 or 1), and each further byte becomes a
+// PAA coefficient — +Inf, -Inf, a breakpoint exactly, or a plain value —
+// for a Euclidean table and, paired with its successor, a DTW envelope.
+// The seeds cover each segment count, so the CI seed-corpus run checks
+// every root key of both table kinds at all four widths.
+func FuzzRootBound(f *testing.F) {
+	f.Add([]byte{0, 0xFF, 1, 64, 200, 0xFE, 3, 128, 77})
+	f.Add([]byte{1, 9, 250, 0xFE, 0xFF, 130, 131, 5, 7, 0, 1, 2, 3, 4, 5, 6, 7})
+	f.Add([]byte{2, 128, 129, 0xFF, 0xFF, 0xFE})
+	f.Add([]byte{3, 0xFE, 0xFF})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		q, err := isax.NewQuantizer(isax.MaxBits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		segments := 16
+		if len(data) > 0 {
+			segments = []int{16, 8, 5, 1}[data[0]%4]
+			data = data[1:]
+		}
+		bp := q.Breakpoints(isax.MaxBits)
+		value := func(i int) float64 {
+			if len(data) == 0 {
+				return 0
+			}
+			switch b := data[i%len(data)]; {
+			case b == 0xFF:
+				return math.Inf(1)
+			case b == 0xFE:
+				return math.Inf(-1)
+			case b&1 == 1:
+				return bp[int(b)%len(bp)]
+			default:
+				return (float64(b) - 128) / 40
+			}
+		}
+		a, up, low := make([]float64, segments), make([]float64, segments), make([]float64, segments)
+		for j := range a {
+			a[j] = value(j)
+			up[j], low[j] = max(a[j], value(j+1)), min(a[j], value(j+1))
+		}
+		n := 16 * segments
+		checkRootBounds(t, isax.NewMultiTable(q, isax.NewQueryTable(q, a, n)), segments)
+		checkRootBounds(t, isax.NewMultiTable(q, isax.NewDTWQueryTable(q, up, low, n)), segments)
+	})
+}

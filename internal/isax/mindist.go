@@ -67,22 +67,41 @@ func (t *QueryTable) FillED(q *Quantizer, paaCoeffs []float64, n int) {
 	card := 1 << q.maxBits
 	t.reshape(segs, card)
 	ratio := float64(n) / float64(segs)
+	bp := q.bp[q.maxBits-1]
 	for j, v := range paaCoeffs {
-		row := t.cells[j*card : (j+1)*card]
-		for s := 0; s < card; s++ {
-			lo, hi := q.Region(uint8(s), q.maxBits)
-			switch {
-			case v < lo:
-				d := lo - v
-				row[s] = d * d * ratio
-			case v > hi:
-				d := v - hi
-				row[s] = d * d * ratio
-			default:
-				row[s] = 0
-			}
-		}
+		fillRow(t.cells[j*card:(j+1)*card], bp, v, v, ratio)
 	}
+}
+
+// fillRow writes one segment's contributions for every full-cardinality
+// symbol: the squared, ratio-scaled gap between the region [lo, hi) of
+// symbol s and the query interval [low, up] (a point for ED, the envelope
+// PAA bounds for DTW), zero when they overlap. The regions are read
+// straight off the sorted breakpoints bp — region s is [bp[s-1], bp[s])
+// with ±Inf at the ends, exactly what Quantizer.Region returns — so the
+// cells are bit-identical to the per-symbol Region formula without its
+// per-call range checks.
+func fillRow(row, bp []float64, up, low, ratio float64) {
+	last := len(row) - 1
+	lo := math.Inf(-1)
+	for s, hi := range bp[:last] {
+		row[s] = gap(lo, hi, up, low, ratio)
+		lo = hi
+	}
+	row[last] = gap(lo, math.Inf(1), up, low, ratio)
+}
+
+// gap is one cell of fillRow: the contribution of region [lo, hi).
+func gap(lo, hi, up, low, ratio float64) float64 {
+	switch {
+	case up < lo:
+		d := lo - up
+		return d * d * ratio
+	case low > hi:
+		d := low - hi
+		return d * d * ratio
+	}
+	return 0
 }
 
 // reshape sizes the cell array for segs × card entries, reallocating only on
@@ -134,14 +153,6 @@ func (t *QueryTable) MinDistSAXStrided(sax []uint8, out []float64) {
 	vector.MinDistBatch(t.cells, sax, w, t.card, out)
 }
 
-// MinDistWord returns the lower bound between the query underlying t and a
-// variable-cardinality word, using region arithmetic from the quantizer.
-// Node-level pruning in MESSI uses this (leaves store their words, not
-// full-cardinality summaries).
-func MinDistWord(q *Quantizer, paaCoeffs []float64, w Word, n int) float64 {
-	return MinDist(q, paaCoeffs, w, n)
-}
-
 // MinDistDTW returns a DTW-valid lower bound between a query envelope's PAA
 // bounds and an iSAX word. For DTW queries (paper §V) the query is replaced
 // by its warping envelope: a segment contributes distance only if the word's
@@ -190,21 +201,9 @@ func (t *QueryTable) FillDTW(q *Quantizer, paaUpper, paaLower []float64, n int) 
 	card := 1 << q.maxBits
 	t.reshape(segs, card)
 	ratio := float64(n) / float64(segs)
+	bp := q.bp[q.maxBits-1]
 	for j := 0; j < segs; j++ {
-		row := t.cells[j*card : (j+1)*card]
-		for s := 0; s < card; s++ {
-			lo, hi := q.Region(uint8(s), q.maxBits)
-			switch {
-			case paaUpper[j] < lo:
-				d := lo - paaUpper[j]
-				row[s] = d * d * ratio
-			case paaLower[j] > hi:
-				d := paaLower[j] - hi
-				row[s] = d * d * ratio
-			default:
-				row[s] = 0
-			}
-		}
+		fillRow(t.cells[j*card:(j+1)*card], bp, paaUpper[j], paaLower[j], ratio)
 	}
 }
 
@@ -224,7 +223,15 @@ type MultiTable struct {
 	maxBits  int
 	// levels[b-1] holds segments × 2^b cells, row-major by segment.
 	levels [][]float64
+	// rootPre[p] is the in-order sum of the level-1 cells of the first
+	// rootHead segments for the root-key prefix p (see RootPrefix).
+	rootPre  [1 << rootPrefixBits]float64
+	rootHead int
 }
+
+// rootPrefixBits is the number of leading segments the root-key prefix
+// table covers (capped by the segment count): 2^8 entries, 2KB per table.
+const rootPrefixBits = 8
 
 // NewMultiTable derives per-cardinality tables from a base full-cardinality
 // table (Euclidean or DTW — any per-symbol contribution table works).
@@ -252,18 +259,64 @@ func (mt *MultiTable) FillFrom(q *Quantizer, base *QueryTable) {
 		if len(cells) != base.segments*card {
 			cells = make([]float64, base.segments*card)
 		}
-		for j := 0; j < base.segments; j++ {
-			for s := 0; s < card; s++ {
-				lo := below[j*2*card+2*s]
-				hi := below[j*2*card+2*s+1]
-				if hi < lo {
-					lo = hi
-				}
-				cells[j*card+s] = lo
+		// Rows are card wide here and 2·card wide below, so cell i's two
+		// sub-cells sit at 2i and 2i+1 of the level below.
+		below = below[:2*len(cells)]
+		for i := range cells {
+			lo, hi := below[2*i], below[2*i+1]
+			if hi < lo {
+				lo = hi
 			}
+			cells[i] = lo
 		}
 		mt.levels[b-1] = cells
 	}
+	mt.fillRootPrefix()
+}
+
+// fillRootPrefix fills rootPre by doubling: the sums over the first j+1
+// segments extend those over the first j by one cell each, so every entry
+// is the left-to-right sum DistWord would accumulate for those segments.
+func (mt *MultiTable) fillRootPrefix() {
+	l1 := mt.levels[0]
+	mt.rootHead = min(rootPrefixBits, mt.segments)
+	pre := mt.rootPre[:1]
+	pre[0] = 0
+	for j := 0; j < mt.rootHead; j++ {
+		n := len(pre)
+		pre = mt.rootPre[:2*n]
+		// Walk down so each prefix is read before its slot is overwritten.
+		for p := n - 1; p >= 0; p-- {
+			acc := pre[p]
+			pre[2*p] = acc + l1[2*j]
+			pre[2*p+1] = acc + l1[2*j+1]
+		}
+	}
+}
+
+// RootPrefix returns a lower bound on the root-subtree bound of key
+// (a root key over the table's segment count, as isax.RootKey packs it):
+// the left-to-right sum of the level-1 cells of its first
+// min(rootPrefixBits, segments) segments. Every cell is ≥ 0 (or NaN, which
+// propagates), and under round-to-nearest adding a non-negative value
+// never lowers a sum, so RootPrefix(key) ≤ RootFinish(key, RootPrefix(key))
+// always holds — a root whose prefix already reaches the pruning threshold
+// can be skipped without finishing its bound.
+func (mt *MultiTable) RootPrefix(key uint32) float64 {
+	return mt.rootPre[key>>(mt.segments-mt.rootHead)]
+}
+
+// RootFinish adds the remaining segments' level-1 cells to prefix (the
+// value RootPrefix returned for key), in segment order. The result is
+// bit-identical to DistWord(RootWordFromKey(key, segments)): both are the
+// same left-to-right sum of the same cells starting from zero.
+func (mt *MultiTable) RootFinish(key uint32, prefix float64) float64 {
+	l1 := mt.levels[0]
+	acc := prefix
+	for j := mt.rootHead; j < mt.segments; j++ {
+		acc += l1[2*j+int(key>>(mt.segments-1-j)&1)]
+	}
+	return acc
 }
 
 // DistWord returns the lower bound between the table's query and a

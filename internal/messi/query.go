@@ -398,9 +398,6 @@ func (ix *Index) SearchShared(q series.Series, workers int, best *xsync.Best, ma
 	ix.probeLeaves(sc, t, stats, refine)
 
 	if err := ix.queuedSearch(workers, mapPos != nil, scope.Tenant, stats, best.Distance, sc, v,
-		func(node *core.Node, bsf func() float64, emit func(*core.Node, float64)) {
-			t.PruneWalkTable(node, sc.mt, bsf, emit)
-		},
 		refine,
 		func(lo, hi int, st *QueryStats, lb *lbScratch) {
 			ix.forDeltaBounds(sc.table, lo, hi, st, lb, func(i int, b float64) {
@@ -504,9 +501,11 @@ const deltaBlock = 1024
 // priority queues — concurrently with an exact scan of the view's unmerged
 // delta suffix — then a barrier, then parallel best-first draining. bsf
 // reads the live pruning threshold (the BSF for 1-NN, the k-th best for
-// k-NN); walk, refine and scanDelta abstract the distance flavor (ED vs
-// DTW). The delta scan shares the BSF with the traversal, so abandoning
-// thresholds tighten globally whichever side improves the answer first.
+// k-NN); refine and scanDelta abstract the distance flavor (ED vs DTW),
+// and the traversal prunes on sc.mt, which the caller filled with the
+// flavor's bounds. The delta scan shares the BSF with the traversal, so
+// abandoning thresholds tighten globally whichever side improves the
+// answer first.
 // refine and scanDelta receive a per-task lower-bound buffer for their
 // batched bound computations.
 //
@@ -531,7 +530,6 @@ func (ix *Index) queuedSearch(
 	bsf func() float64,
 	sc *searchScratch,
 	v view,
-	walk func(node *core.Node, bsf func() float64, emit func(*core.Node, float64)),
 	refine func(leaf *core.Node, limit float64, st *QueryStats, lb *lbScratch),
 	scanDelta func(lo, hi int, st *QueryStats, lb *lbScratch),
 ) error {
@@ -550,13 +548,15 @@ func (ix *Index) queuedSearch(
 	queues := sc.queues
 	queues.Reset()
 	t := v.snap.tree
-	keys := t.OccupiedKeys()
+	keys := t.RootKeys()
 
-	// Phase A: traversal plus delta scan. Traversal tasks claim root
-	// subtrees with Fetch&Inc, in blocks: a tree over a scaled-down
-	// collection has tens of thousands of tiny root subtrees, and
-	// per-subtree claims would serialize on the shared counter's cache
-	// line. Delta tasks claim blocks of the unmerged suffix the same way.
+	// Phase A: traversal plus delta scan. Traversal tasks claim blocks of
+	// root keys with Fetch&Inc: a tree over a scaled-down collection has
+	// tens of thousands of tiny root subtrees, and per-subtree claims would
+	// serialize on the shared counter's cache line. Each block is a flat
+	// pass over the keys (core.Tree.PruneRoots) that prunes most roots on
+	// a prefix-table lookup without touching their nodes. Delta tasks
+	// claim blocks of the unmerged suffix the same way.
 	const claimBlock = 256
 	var cursor, deltaCursor xsync.Counter
 	var inserted, popped, entries, raws atomic.Int64
@@ -585,10 +585,7 @@ func (ix *Index) queuedSearch(
 				if lo >= len(keys) {
 					return
 				}
-				hi := min(lo+claimBlock, len(keys))
-				for _, key := range keys[lo:hi] {
-					walk(t.Subtree(key), bsf, emit)
-				}
+				t.PruneRoots(keys[lo:min(lo+claimBlock, len(keys))], sc.mt, bsf, emit)
 			}
 		})
 	}
@@ -844,9 +841,6 @@ func (ix *Index) SearchKNNShared(q series.Series, k, workers int, kb *xsync.KBes
 
 	// The k-th best distance plays the BSF role in every pruning decision.
 	if err := ix.queuedSearch(workers, mapPos != nil, scope.Tenant, stats, kb.Threshold, sc, v,
-		func(node *core.Node, bsf func() float64, emit func(*core.Node, float64)) {
-			t.PruneWalkTable(node, sc.mt, bsf, emit)
-		},
 		refine,
 		func(lo, hi int, st *QueryStats, lb *lbScratch) {
 			ix.forDeltaBounds(table, lo, hi, st, lb, func(i int, b float64) {
@@ -943,9 +937,6 @@ func (ix *Index) SearchDTWShared(q series.Series, window, workers int, best *xsy
 	ix.probeLeaves(sc, t, stats, refine)
 
 	if err := ix.queuedSearch(workers, mapPos != nil, scope.Tenant, stats, best.Distance, sc, v,
-		func(node *core.Node, bsf func() float64, emit func(*core.Node, float64)) {
-			t.PruneWalkTable(node, sc.mt, bsf, emit)
-		},
 		refine,
 		func(lo, hi int, st *QueryStats, lb *lbScratch) {
 			ix.forDeltaBounds(table, lo, hi, st, lb, func(i int, b float64) {
