@@ -205,7 +205,6 @@ type options struct {
 	maxBits        int
 	leafCapacity   int
 	workers        int
-	queueCount     int
 	batchSeries    int
 	maxInFlight    int
 	mergeThreshold int
@@ -235,10 +234,6 @@ func WithLeafCapacity(c int) Option { return func(o *options) { o.leafCapacity =
 // WithWorkers sets the number of worker goroutines for index construction
 // and (as the default) query answering. 0 means GOMAXPROCS.
 func WithWorkers(n int) Option { return func(o *options) { o.workers = n } }
-
-// WithQueueCount sets the number of concurrent priority queues MESSI uses
-// during query answering (default: half the workers).
-func WithQueueCount(n int) Option { return func(o *options) { o.queueCount = n } }
 
 // WithBatchSeries sets the memory budget, in series, of each ParIS
 // bulk-loading cycle (default 65536).

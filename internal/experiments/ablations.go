@@ -13,41 +13,6 @@ import (
 	"dsidx/internal/vector"
 )
 
-// AblationQueueCount measures MESSI query time as the number of concurrent
-// priority queues varies — the load-balancing design choice of stage 3.
-func AblationQueueCount(cfg Config) (*Table, error) {
-	cfg = cfg.Normalize()
-	w := newWorkload(cfg, gen.Synthetic)
-	t := &Table{
-		ID:      "ablation-queues",
-		Title:   "MESSI query time vs priority-queue count (Synthetic)",
-		Unit:    "milliseconds per query",
-		Columns: []string{"mean"},
-	}
-	cores := cfg.MaxCores
-	for _, qc := range []int{1, 2, cores / 4, cores / 2, cores, 2 * cores} {
-		if qc < 1 {
-			continue
-		}
-		ix, err := messi.Build(w.coll, core.Config{LeafCapacity: leafCapacity},
-			messi.Options{Workers: cores, QueueCount: qc})
-		if err != nil {
-			return nil, fmt.Errorf("ablation-queues qc=%d: %w", qc, err)
-		}
-		mean, err := timeQueries(w.queries, func(q series.Series) error {
-			_, _, err := ix.Search(q, cores)
-			return err
-		})
-		ix.Close()
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(fmt.Sprintf("queues=%d", qc), millis(mean))
-	}
-	t.Note("single queue serializes pops; far too many queues weaken best-first ordering")
-	return t, nil
-}
-
 // AblationBufferPartitioning compares MESSI's per-worker buffer parts
 // against the lock-protected shared buffers the paper's footnote 2 rejects.
 func AblationBufferPartitioning(cfg Config) (*Table, error) {

@@ -200,7 +200,6 @@ var All = []Experiment{
 	{"fig10", "Exact query answering across datasets on HDD: UCR vs ADS+ vs ParIS+", Fig10},
 	{"fig11", "Exact query answering across datasets on SSD: UCR vs ADS+ vs ParIS+", Fig11},
 	{"fig12", "In-memory exact query answering across datasets: UCR-p vs ParIS vs MESSI", Fig12},
-	{"ablation-queues", "MESSI query time vs priority-queue count", AblationQueueCount},
 	{"ablation-buffers", "MESSI buffer partitioning vs single locked buffers", AblationBufferPartitioning},
 	{"ablation-kernels", "Vectorized vs scalar distance kernels", AblationVectorKernels},
 	{"ablation-leafcap", "MESSI build/query tradeoff vs leaf capacity", AblationLeafCapacity},

@@ -13,17 +13,20 @@
 // Query answering: a multi-probe approximate search (the Options.ProbeLeaves
 // best leaves under the query's summary) seeds the shared BSF; workers
 // then traverse distinct root subtrees, pruning by node-level lower bounds
-// against the live BSF, and push surviving leaves — minus the already-probed
-// ones — into a set of concurrent min-priority queues (round-robin, for load
-// balancing). After the traversal, workers drain the queues in ascending
-// lower-bound order: a popped leaf whose bound beats the BSF has its whole
-// summary block lower-bounded in one batched pass (bit-identical to the
-// per-entry bounds), then survivors pay an early-abandoning real distance
-// read from the leaf's contiguous raw block (leaf-ordered storage, unless
-// Options.DisableLeafRaw). When a queue's minimum is not below the BSF, the
-// whole queue can never improve the answer and is abandoned. Compared to
-// ParIS, the tree prunes *before* lower-bound computation and the queues
-// order work best-first — the two effects behind Figure 12's speedups; the
+// against the live BSF, and collect the surviving leaves — minus the
+// already-probed ones — in per-worker runs, sorted after the traversal into
+// one candidate array by ascending lower bound. (The paper inserts them
+// into a set of lock-protected min-priority queues instead.) Workers then
+// claim candidates from that array with Fetch&Inc, which
+// is exact global best-first order: a claimed leaf whose bound beats the
+// BSF has its whole summary block lower-bounded in one batched pass
+// (bit-identical to the per-entry bounds), then survivors pay an
+// early-abandoning real distance read from the leaf's contiguous raw block
+// (leaf-ordered storage, unless Options.DisableLeafRaw). The first claimed
+// candidate whose bound is not below the BSF ends the phase: every later
+// one is prunable too. Compared to ParIS, the tree prunes *before*
+// lower-bound computation and the candidates are refined best-first — the
+// two effects behind Figure 12's speedups; the
 // batched bounds and leaf-ordered reads give the refinement loop the
 // sequential memory behavior the paper gets from SIMD over flat arrays.
 //
@@ -63,10 +66,6 @@ type Options struct {
 	// blocks assigned with Fetch&Inc give the load balancing the paper
 	// describes.
 	BlockSeries int
-	// QueueCount is the number of concurrent priority queues used by query
-	// answering (0 means half the workers, minimum 1 — close to the paper's
-	// tuning).
-	QueueCount int
 	// SharedBuffers selects the alternative stage-1 design the paper's
 	// footnote 2 reports trying and rejecting: one lock-protected buffer
 	// per root subtree shared by all workers, instead of per-worker buffer
@@ -119,9 +118,6 @@ func (o Options) normalize() Options {
 	}
 	if o.BlockSeries <= 0 {
 		o.BlockSeries = 1024
-	}
-	if o.QueueCount <= 0 {
-		o.QueueCount = max(1, o.Workers/2)
 	}
 	if o.MergeThreshold <= 0 {
 		o.MergeThreshold = 4096

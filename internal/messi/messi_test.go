@@ -219,22 +219,26 @@ func TestSearchDTWZeroWindowMatchesED(t *testing.T) {
 	}
 }
 
-func TestQueueCountVariants(t *testing.T) {
+// TestQueryWorkerVariants checks exact answers under different phase-B
+// layouts: one to more query workers than the index's pool holds.
+func TestQueryWorkerVariants(t *testing.T) {
 	coll, queries := dataset(t, gen.Synthetic, 600)
-	for _, qc := range []int{1, 2, 8, 32} {
-		ix, err := Build(coll, core.Config{LeafCapacity: 32},
-			Options{Workers: 8, QueueCount: qc})
-		if err != nil {
-			t.Fatal(err)
-		}
-		q := queries.At(0)
-		_, wantDist := coll.BruteForce1NN(q)
-		got, _, err := ix.Search(q, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(got.Dist-wantDist) > 1e-6*math.Max(1, wantDist) {
-			t.Fatalf("queues=%d: dist %v, want %v", qc, got.Dist, wantDist)
+	ix, err := Build(coll, core.Config{LeafCapacity: 32}, Options{Workers: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	for _, workers := range []int{1, 2, 8, 32} {
+		for qi := 0; qi < queries.Len(); qi++ {
+			q := queries.At(qi)
+			_, wantDist := coll.BruteForce1NN(q)
+			got, _, err := ix.Search(q, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Abs(got.Dist-wantDist) > 1e-6*math.Max(1, wantDist) {
+				t.Fatalf("workers=%d query %d: dist %v, want %v", workers, qi, got.Dist, wantDist)
+			}
 		}
 	}
 }

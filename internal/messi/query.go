@@ -10,7 +10,6 @@ import (
 	"dsidx/internal/engine"
 	"dsidx/internal/isax"
 	"dsidx/internal/paa"
-	"dsidx/internal/pqueue"
 	"dsidx/internal/series"
 	"dsidx/internal/vector"
 	"dsidx/internal/xsync"
@@ -21,7 +20,7 @@ import (
 type QueryStats struct {
 	ProbeLeaves    int // leaves probed by the BSF-seeding approximate phase
 	LeavesInserted int // leaves that survived tree pruning
-	LeavesPopped   int // leaves actually examined from the queues
+	LeavesPopped   int // candidate leaves actually refined
 	EntriesChecked int // per-series lower bounds computed
 	RawDistances   int // exact distances computed (incl. approximate phase)
 	// Observed is the number of series this query answered over: the
@@ -53,25 +52,24 @@ func (ix *Index) view() view {
 // total returns the number of series the view answers over.
 func (v view) total(baseLen int) int { return baseLen + v.aLive }
 
-// queueEntry is a surviving leaf with its lower-bound distance.
-type queueEntry struct {
-	leaf *core.Node
-}
-
 // searchScratch is the pooled per-query working set: summarizer, summary
-// buffers, lower-bound lookup tables and the priority-queue set. At the
+// buffers, lower-bound lookup tables and the candidate arrays. At the
 // default configuration these total ~70KB per query — allocating them per
 // Search call is invisible at one query at a time but dominates allocator
 // traffic at serving rates, so in-flight queries check them out of a
 // sync.Pool and sustained QPS recycles a bounded working set.
 type searchScratch struct {
-	sm     *core.Summarizer
-	qsax   []uint8
-	qpaa   []float64
-	table  *isax.QueryTable
-	mt     *isax.MultiTable
-	queues *pqueue.Set[queueEntry]
-	done   []atomic.Bool
+	sm    *core.Summarizer
+	qsax  []uint8
+	qpaa  []float64
+	table *isax.QueryTable
+	mt    *isax.MultiTable
+	// runs holds one candidate run per traversal task; cands is their
+	// concatenation sorted by bound (spare is its sort buffer): the
+	// best-first work list of the refinement phase.
+	runs  [][]candidate
+	cands []candidate
+	spare []candidate
 	// probed records the leaves the approximate phase refined, so the
 	// traversal skips re-inserting them: a probed leaf is already fully
 	// refined against a bound at least as tight, and re-refining it would
@@ -81,26 +79,31 @@ type searchScratch struct {
 }
 
 func (ix *Index) newScratch() *searchScratch {
-	queues := pqueue.NewSet[queueEntry](ix.opt.QueueCount, 64)
 	return &searchScratch{
-		sm:     core.NewSummarizer(ix.cfg, ix.Tree().Quantizer()),
-		qsax:   make([]uint8, ix.cfg.Segments),
-		qpaa:   make([]float64, ix.cfg.Segments),
-		table:  &isax.QueryTable{},
-		mt:     &isax.MultiTable{},
-		queues: queues,
-		done:   make([]atomic.Bool, queues.Count()),
+		sm:    core.NewSummarizer(ix.cfg, ix.Tree().Quantizer()),
+		qsax:  make([]uint8, ix.cfg.Segments),
+		qpaa:  make([]float64, ix.cfg.Segments),
+		table: &isax.QueryTable{},
+		mt:    &isax.MultiTable{},
 	}
 }
 
 func (ix *Index) getScratch() *searchScratch { return ix.scratch.Get().(*searchScratch) }
 
 func (ix *Index) putScratch(sc *searchScratch) {
-	// Drop the probed-leaf pointers before parking in the pool: after a
-	// merge retires a snapshot, a pooled scratch must not pin the old
-	// subtrees' materialized raw blocks until its next reuse.
+	// Drop the leaf pointers before parking in the pool: after a merge
+	// retires a snapshot, a pooled scratch must not pin the old subtrees'
+	// materialized raw blocks until its next reuse. Nothing is ever
+	// written past a slice's length, so clearing up to it suffices.
 	clear(sc.probed)
 	sc.probed = sc.probed[:0]
+	clear(sc.cands)
+	clear(sc.spare)
+	sc.cands, sc.spare = sc.cands[:0], sc.spare[:0]
+	for i := range sc.runs {
+		clear(sc.runs[i])
+		sc.runs[i] = sc.runs[i][:0]
+	}
 	ix.scratch.Put(sc)
 }
 
@@ -174,17 +177,17 @@ func (ix *Index) forDeltaBounds(table *isax.QueryTable, lo, hi int, st *QuerySta
 
 // probeLeaves runs the approximate phase: the p best leaves under the
 // query's summary (see core.Tree.BestLeavesApprox) are refined with the
-// same closure the queue-drain phase uses, seeding the BSF with exact
+// same closure the best-first phase uses, seeding the BSF with exact
 // distances. Probing several neighboring leaves instead of one tightens
 // the initial BSF, which shrinks everything downstream: fewer leaves
 // survive tree pruning, fewer entries survive the lower-bound filter.
 func (ix *Index) probeLeaves(sc *searchScratch, t *core.Tree, stats *QueryStats,
-	refine func(leaf *core.Node, limit float64, st *QueryStats, lb *lbScratch)) {
+	refine func(leaf *core.Node, st *QueryStats, lb *lbScratch)) {
 	lb := ix.getLB()
 	sc.probed = append(sc.probed[:0], t.BestLeavesApprox(sc.qsax, sc.qpaa, ix.probeLeavesNow())...)
 	for _, leaf := range sc.probed {
 		stats.ProbeLeaves++
-		refine(leaf, 0, stats, lb)
+		refine(leaf, stats, lb)
 	}
 	ix.putLB(lb)
 }
@@ -391,13 +394,13 @@ func (ix *Index) SearchShared(q series.Series, workers int, best *xsync.Best, ma
 	sc.table.FillED(t.Quantizer(), sc.qpaa, ix.cfg.SeriesLen)
 	sc.mt.FillFrom(t.Quantizer(), sc.table)
 
-	refine := func(leaf *core.Node, _ float64, st *QueryStats, lb *lbScratch) {
+	refine := func(leaf *core.Node, st *QueryStats, lb *lbScratch) {
 		ix.refineLeafED(q, sc.table, leaf, best, st, lb, mp, f)
 	}
 	// Approximate phase: exact distances over the closest p leaves.
 	ix.probeLeaves(sc, t, stats, refine)
 
-	if err := ix.queuedSearch(workers, mapPos != nil, scope.Tenant, stats, best.Distance, sc, v,
+	if err := ix.bestFirstSearch(workers, mapPos != nil, scope.Tenant, stats, best.Distance, sc, v,
 		refine,
 		func(lo, hi int, st *QueryStats, lb *lbScratch) {
 			ix.forDeltaBounds(sc.table, lo, hi, st, lb, func(i int, b float64) {
@@ -497,15 +500,15 @@ func (ix *Index) refineLeafED(q series.Series, table *isax.QueryTable, leaf *cor
 // deltaBlock is the delta-scan work-claiming granularity in series.
 const deltaBlock = 1024
 
-// queuedSearch runs MESSI stage 3: parallel pruned traversal filling the
-// priority queues — concurrently with an exact scan of the view's unmerged
-// delta suffix — then a barrier, then parallel best-first draining. bsf
-// reads the live pruning threshold (the BSF for 1-NN, the k-th best for
-// k-NN); refine and scanDelta abstract the distance flavor (ED vs DTW),
-// and the traversal prunes on sc.mt, which the caller filled with the
-// flavor's bounds. The delta scan shares the BSF with the traversal, so
-// abandoning thresholds tighten globally whichever side improves the
-// answer first.
+// bestFirstSearch runs MESSI stage 3: a parallel pruned traversal collecting
+// the surviving leaves — concurrently with an exact scan of the view's
+// unmerged delta suffix — then a barrier, then parallel best-first
+// refinement of the candidates in ascending lower-bound order. bsf reads
+// the live pruning threshold (the BSF for 1-NN, the k-th best for k-NN);
+// refine and scanDelta abstract the distance flavor (ED vs DTW), and the
+// traversal prunes on sc.mt, which the caller filled with the flavor's
+// bounds. The delta scan shares the BSF with the traversal, so abandoning
+// thresholds tighten globally whichever side improves the answer first.
 // refine and scanDelta receive a per-task lower-bound buffer for their
 // batched bound computations.
 //
@@ -519,10 +522,10 @@ const deltaBlock = 1024
 //
 // A task that panics — a cold-device *storage.BlockError surfacing inside
 // a refinement, typically — is contained at the Group boundary; the phase
-// barrier still releases, and queuedSearch returns the first contained
+// barrier still releases, and bestFirstSearch returns the first contained
 // panic as an error. The caller must then discard the answer: the shared
 // best-so-far may be missing contributions from the failed tasks.
-func (ix *Index) queuedSearch(
+func (ix *Index) bestFirstSearch(
 	workers int,
 	sub bool,
 	tenant string,
@@ -530,7 +533,7 @@ func (ix *Index) queuedSearch(
 	bsf func() float64,
 	sc *searchScratch,
 	v view,
-	refine func(leaf *core.Node, limit float64, st *QueryStats, lb *lbScratch),
+	refine func(leaf *core.Node, st *QueryStats, lb *lbScratch),
 	scanDelta func(lo, hi int, st *QueryStats, lb *lbScratch),
 ) error {
 	end := ix.beginQuery(sub, tenant)
@@ -545,8 +548,6 @@ func (ix *Index) queuedSearch(
 	} else if workers > ix.eng.Workers() {
 		workers = ix.eng.Workers()
 	}
-	queues := sc.queues
-	queues.Reset()
 	t := v.snap.tree
 	keys := t.RootKeys()
 
@@ -555,30 +556,38 @@ func (ix *Index) queuedSearch(
 	// tens of thousands of tiny root subtrees, and per-subtree claims would
 	// serialize on the shared counter's cache line. Each block is a flat
 	// pass over the keys (core.Tree.PruneRoots) that prunes most roots on
-	// a prefix-table lookup without touching their nodes. Delta tasks
-	// claim blocks of the unmerged suffix the same way.
+	// a prefix-table lookup without touching their nodes. Every task
+	// appends its survivors to its own run: no lock, no atomic per leaf.
+	// Delta tasks claim blocks of the unmerged suffix the same way.
 	const claimBlock = 256
 	var cursor, deltaCursor xsync.Counter
-	var inserted, popped, entries, raws atomic.Int64
+	var popped, entries, raws atomic.Int64
 	blocks := (len(keys) + claimBlock - 1) / claimBlock
 	// A sharding layer's append cut may sit below mergedA (a merge folded
 	// appends past the cut into the tree, where the position filter handles
 	// them) — there is no delta suffix to scan then.
 	deltaLo, deltaHi := v.snap.mergedA, max(v.aLive, v.snap.mergedA)
 	deltaBlocks := (deltaHi - deltaLo + deltaBlock - 1) / deltaBlock
+	tasks := min(workers, max(blocks, 1))
+	for len(sc.runs) < tasks {
+		sc.runs = append(sc.runs, nil)
+	}
+	runs := sc.runs[:tasks]
 	g := ix.eng.NewGroup()
-	for w := 0; w < min(workers, max(blocks, 1)); w++ {
+	for w := range runs {
 		g.Submit(func() {
+			run := runs[w]
+			// The run is written back even if the task dies, so the
+			// scratch's next reset clears every pointer it appended.
+			defer func() { runs[w] = run }()
 			// One emit closure per task, not per subtree: a scaled-down
 			// tree has thousands of root keys, and allocating the closure
 			// inside the key loop used to dominate the query's allocation
 			// count.
 			emit := func(leaf *core.Node, lb float64) {
-				if sc.wasProbed(leaf) {
-					return
+				if !sc.wasProbed(leaf) {
+					run = append(run, candidate{bound: lb, leaf: leaf})
 				}
-				queues.Insert(lb, queueEntry{leaf: leaf})
-				inserted.Add(1)
 			}
 			for {
 				lo := int(cursor.Next()) * claimBlock
@@ -609,83 +618,70 @@ func (ix *Index) queuedSearch(
 	if err := g.Err(); err != nil {
 		return err
 	}
-
-	// Phase B: best-first refinement. A queue whose head is not below the
-	// BSF can never improve the answer (bounds only grow within a queue and
-	// the BSF only shrinks), so it is marked done for everyone.
-	done := sc.done[:queues.Count()]
-	for i := range done {
-		done[i].Store(false)
+	// One radix sort of the concatenated runs: it measured within noise
+	// of sorting each run in its task and merging the runs, and unlike a
+	// k-way merge its cost does not grow with the worker count.
+	cands := sc.cands[:0]
+	for _, run := range runs {
+		cands = append(cands, run...)
 	}
+	sc.cands = cands
+	sc.spare = sortByBound(cands, sc.spare)
+
+	// Phase B: best-first refinement. Workers claim candidates in ascending
+	// bound order with Fetch&Inc, which is exactly the global best-first
+	// order. A worker stops at the first claimed candidate whose bound is
+	// not below the BSF: every later candidate's bound is at least as large
+	// and the BSF only shrinks, so none of them can improve the answer.
+	var next xsync.Counter
 	g = ix.eng.NewGroup()
-	for w := 0; w < workers; w++ {
+	for range min(workers, len(cands)) {
 		g.Submit(func() {
 			st := QueryStats{}
 			lb := ix.getLB()
-			for remaining := true; remaining; {
-				remaining = false
-				for qi := 0; qi < queues.Count(); qi++ {
-					idx := (w + qi) % queues.Count()
-					if done[idx].Load() {
+			n := 0
+			// ParIS+-style I/O masking, active only when the base data is
+			// device-backed (ix.prefetch non-nil): a claimed leaf without a
+			// materialized raw block would pay cold device reads inside
+			// refine, so its positions are submitted as a prefetch task on
+			// the same pool — no extra goroutines — and its refinement is
+			// deferred by one claim. The batched read for leaf N+1 then
+			// overlaps the distance computations of leaf N; single-flight
+			// block loading makes the race between the prefetch task and a
+			// faster-arriving refine harmless. TrySubmit (not Submit)
+			// because this code runs on a pool worker: a blocking send to a
+			// full queue that only this worker could drain would deadlock a
+			// small pool, and a prefetch that cannot be scheduled is better
+			// skipped — refine pays the read itself. Deferring a refinement
+			// never changes the answer: every surviving entry is checked
+			// against the live threshold whenever it runs, and the stop rule
+			// stays monotone (bounds only grow along the array, the BSF only
+			// shrinks).
+			var held *core.Node
+			for {
+				i := int(next.Next())
+				if i >= len(cands) || cands[i].bound >= bsf() {
+					break
+				}
+				n++
+				leaf := cands[i].leaf
+				if ix.prefetch != nil && leaf.Raw == nil {
+					pos := leaf.Pos
+					if g.TrySubmit(func() { ix.prefetch(pos) }) {
+						if held != nil {
+							refine(held, &st, lb)
+						}
+						held = leaf
 						continue
 					}
-					q := queues.Queue(idx)
-					// ParIS+-style I/O masking, active only when the base
-					// data is device-backed (ix.prefetch non-nil): a popped
-					// leaf without a materialized raw block would pay cold
-					// device reads inside refine, so its positions are
-					// submitted as a prefetch task on the same pool — no
-					// extra goroutines — and its refinement is deferred by
-					// one pop. The batched read for leaf N+1 then overlaps
-					// the distance computations of leaf N; single-flight
-					// block loading makes the race between the prefetch task
-					// and a faster-arriving refine harmless. TrySubmit (not
-					// Submit) because this code runs on a pool worker: a
-					// blocking send to a full queue that only this worker
-					// could drain would deadlock a small pool, and a prefetch
-					// that cannot be scheduled is better skipped — refine
-					// pays the read itself. Deferring a refinement never
-					// changes the answer: every surviving entry is checked
-					// against the live threshold whenever it runs, and queue
-					// abandonment stays monotone (bounds only grow within a
-					// queue, the BSF only shrinks).
-					var held *core.Node
-					for {
-						it, abandon := q.PopIfUnder(bsf())
-						if abandon {
-							done[idx].Store(true)
-							break
-						}
-						popped.Add(1)
-						leaf := it.Value.leaf
-						if ix.prefetch != nil && leaf.Raw == nil {
-							pos := leaf.Pos
-							if g.TrySubmit(func() { ix.prefetch(pos) }) {
-								if held != nil {
-									refine(held, it.Priority, &st, lb)
-								}
-								held = leaf
-								continue
-							}
-						}
-						refine(leaf, it.Priority, &st, lb)
-					}
-					if held != nil {
-						refine(held, 0, &st, lb)
-					}
 				}
-				// Re-scan in case another worker inserted... no inserts can
-				// happen in phase B, but a queue may have been skipped while
-				// a peer was draining it and then re-marked not-done; one
-				// clean pass over all queues seeing them done suffices.
-				for qi := 0; qi < queues.Count(); qi++ {
-					if !done[qi].Load() {
-						remaining = true
-						break
-					}
-				}
+				refine(leaf, &st, lb)
+			}
+			if held != nil {
+				refine(held, &st, lb)
 			}
 			ix.putLB(lb)
+			popped.Add(int64(n))
 			entries.Add(int64(st.EntriesChecked))
 			raws.Add(int64(st.RawDistances))
 		})
@@ -695,7 +691,7 @@ func (ix *Index) queuedSearch(
 		return err
 	}
 
-	stats.LeavesInserted = int(inserted.Load())
+	stats.LeavesInserted = len(cands)
 	stats.LeavesPopped = int(popped.Load())
 	stats.EntriesChecked += int(entries.Load())
 	stats.RawDistances += int(raws.Load())
@@ -827,7 +823,7 @@ func (ix *Index) SearchKNNShared(q series.Series, k, workers int, kb *xsync.KBes
 	sc.mt.FillFrom(t.Quantizer(), sc.table)
 	table := sc.table
 
-	refine := func(leaf *core.Node, _ float64, st *QueryStats, lb *lbScratch) {
+	refine := func(leaf *core.Node, st *QueryStats, lb *lbScratch) {
 		ix.forLeafBounds(table, leaf, st, lb, func(i int, b float64) {
 			lim := kb.Threshold()
 			if b >= lim || f.skip(leaf.Pos[i], mp) {
@@ -840,7 +836,7 @@ func (ix *Index) SearchKNNShared(q series.Series, k, workers int, kb *xsync.KBes
 	ix.probeLeaves(sc, t, stats, refine)
 
 	// The k-th best distance plays the BSF role in every pruning decision.
-	if err := ix.queuedSearch(workers, mapPos != nil, scope.Tenant, stats, kb.Threshold, sc, v,
+	if err := ix.bestFirstSearch(workers, mapPos != nil, scope.Tenant, stats, kb.Threshold, sc, v,
 		refine,
 		func(lo, hi int, st *QueryStats, lb *lbScratch) {
 			ix.forDeltaBounds(table, lo, hi, st, lb, func(i int, b float64) {
@@ -918,7 +914,7 @@ func (ix *Index) SearchDTWShared(q series.Series, window, workers int, best *xsy
 	sc.mt.FillFrom(t.Quantizer(), sc.table)
 	table := sc.table
 
-	refine := func(leaf *core.Node, _ float64, st *QueryStats, lb *lbScratch) {
+	refine := func(leaf *core.Node, st *QueryStats, lb *lbScratch) {
 		ix.forLeafBounds(table, leaf, st, lb, func(i int, b float64) {
 			lim := best.Distance()
 			if b >= lim || f.skip(leaf.Pos[i], mp) {
@@ -936,7 +932,7 @@ func (ix *Index) SearchDTWShared(q series.Series, window, workers int, best *xsy
 	}
 	ix.probeLeaves(sc, t, stats, refine)
 
-	if err := ix.queuedSearch(workers, mapPos != nil, scope.Tenant, stats, best.Distance, sc, v,
+	if err := ix.bestFirstSearch(workers, mapPos != nil, scope.Tenant, stats, best.Distance, sc, v,
 		refine,
 		func(lo, hi int, st *QueryStats, lb *lbScratch) {
 			ix.forDeltaBounds(table, lo, hi, st, lb, func(i int, b float64) {

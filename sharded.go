@@ -88,7 +88,6 @@ func (o options) shardOptions() (shard.Options, error) {
 		AllowPartial: o.allowPartial,
 		Options: messi.Options{
 			Workers:        o.workers,
-			QueueCount:     o.queueCount,
 			MaxInFlight:    o.maxInFlight,
 			MergeThreshold: o.mergeThreshold,
 			ProbeLeaves:    o.probeLeaves,
