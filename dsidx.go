@@ -115,7 +115,12 @@ func CollectionFromValues(values []float32, length int) (*Collection, error) {
 }
 
 // Match is a search answer: the position of the matching series in its
-// collection and its true (unsquared) distance to the query.
+// collection and its true (unsquared) distance to the query. When nothing
+// is visible to a query — an empty or fully deleted index, or a window
+// holding only deleted series — Query and Serve answer with no matches,
+// while the direct 1-NN wrappers (Search, SearchWithWorkers, SearchDTW,
+// SearchApproximate, SearchWindow) return the sentinel Pos -1,
+// Distance +Inf.
 type Match struct {
 	Pos      int
 	Distance float64

@@ -1,8 +1,8 @@
 // Package conformance is the randomized differential harness for the
 // serving stack: a seeded generator drives an arbitrary interleaving of
 // Build / Append / AppendBatch / AppendWithTTL / Delete / DeleteRange /
-// ExpireBefore / Compact / Flush / Save / Load / Search / k-NN / DTW /
-// approximate / sliding-window ops against a plain messi.Index AND a
+// ExpireBefore / Compact / Flush / Save / Load ops and randomized query
+// requests (every kind, windowed or not) against a plain messi.Index AND a
 // shard.Sharded instance holding identical content, asserting after every
 // query that both answers are bit-identical to each other and to the
 // internal/ucr serial scan over a mirror of everything landed so far.
@@ -14,9 +14,9 @@
 // reduces to. TTL expiry runs on a logical clock the harness owns — the
 // index never reads wall time — so runs are deterministic per seed.
 // Equality is exact (not tolerance-based) because every system shares one
-// distance kernel — see ucr.Scan. Some exact queries also carry a random
-// tenant ID: tenancy only moves scheduling, so answers must be
-// bit-identical with or without it.
+// distance kernel — see ucr.Scan. Queries also carry a random tenant ID
+// and worker count: both only move scheduling, so answers must be
+// bit-identical with or without them.
 //
 // Every (re)build of the sharded instance randomly chooses among the
 // zero-copy view-based base split, the legacy materialized copy
@@ -35,6 +35,7 @@ package conformance
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -179,20 +180,8 @@ func Run(t testing.TB, cfg Config) {
 			h.opSaveLoad()
 		case p < 65:
 			h.opRebuild()
-		case p < 78:
-			h.opSearch()
-			queries++
-		case p < 85:
-			h.opSearchWindow()
-			queries++
-		case p < 92:
-			h.opKNN()
-			queries++
-		case p < 96:
-			h.opDTW()
-			queries++
 		default:
-			h.opApproximate()
+			h.opQuery()
 			queries++
 		}
 		if h.t.Failed() {
@@ -592,167 +581,119 @@ func (h *harness) opRebuild() {
 // isDead is the oracle's tombstone predicate.
 func (h *harness) isDead(pos int) bool { return h.dead[pos] }
 
-func (h *harness) opSearch() {
+// opQuery sends one randomized request through Query on both systems:
+// every kind, tenant "" / "a" / "b", LastN 0 (everything) or a random
+// window — sometimes wider than everything landed, sometimes a thin recent
+// slice — and workers 0, 1 or 2. Tenancy and workers only move scheduling,
+// so exact answers must be bit-identical to the serial scan of exactly the
+// live window; the approximate kind is held to its contract instead.
+func (h *harness) opQuery() {
 	q := h.query()
-	// A third of exact searches carry a random tenant ID: tenancy touches
-	// only admission and pool scheduling, so the answer must be
-	// bit-identical with or without it.
-	scope := messi.FullScope
+	var req messi.Request
+	switch p := h.rng.Intn(35); {
+	case p < 20:
+		req.Kind = messi.NN
+	case p < 27:
+		req.Kind, req.K = messi.KNN, 1+h.rng.Intn(6)
+	case p < 31:
+		req.Kind, req.Band = messi.DTW, h.rng.Intn(6)
+	default:
+		req.Kind = messi.Approx
+	}
+	req.Tenant = []string{"", "a", "b"}[h.rng.Intn(3)]
+	req.Workers = h.rng.Intn(3)
+	lo := 0
 	if h.rng.Intn(3) == 0 {
-		scope.Tenant = []string{"tenant-a", "tenant-b"}[h.rng.Intn(2)]
+		req.LastN = 1 + h.rng.Intn(h.mirror.Len()+8)
+		lo = max(0, h.mirror.Len()-req.LastN)
+		h.windows++
+	}
+	if req.Tenant != "" {
 		h.tenanted++
 	}
-	want := ucr.ScanLive(h.mirror, q, 0, h.isDead)
-	got, st, err := h.plain.SearchScoped(q, 0, scope)
+	var want []core.Result
+	switch req.Kind {
+	case messi.KNN:
+		want = ucr.ScanLiveKNN(h.mirror, q, req.K, lo, h.isDead)
+	case messi.DTW:
+		want = found(ucr.ScanLiveDTW(h.mirror, q, req.Band, lo, h.isDead))
+	default:
+		want = found(ucr.ScanLive(h.mirror, q, lo, h.isDead))
+	}
+	got, st, err := h.plain.Query(q, req)
 	if err != nil {
 		h.t.Fatal(err)
 	}
+	h.checkAnswer("plain", req, q, lo, st, got, want)
+	sgot, sst, err := h.shrd.Query(q, req)
+	if h.shardErr(fmt.Sprintf("%+v", req), err) {
+		return
+	}
+	h.checkAnswer("sharded", req, q, lo, sst, sgot, want)
+}
+
+// found is a serial 1-NN answer as a result list: empty when nothing is live.
+func found(r core.Result) []core.Result {
+	if r.Pos < 0 {
+		return nil
+	}
+	return []core.Result{r}
+}
+
+// checkAnswer compares one system's answer to req against the oracle's
+// exact answer want over the live window [lo, mirror.Len()).
+func (h *harness) checkAnswer(who string, req messi.Request, q series.Series, lo int, st *messi.QueryStats, got, want []core.Result) {
 	if st.Observed != h.mirror.Len() {
-		h.t.Fatalf("observed plain %d, mirror has %d", st.Observed, h.mirror.Len())
+		h.t.Fatalf("%s %+v: observed %d, mirror has %d", who, req, st.Observed, h.mirror.Len())
 	}
-	if got.Pos != want.Pos || got.Dist != want.Dist {
-		h.t.Errorf("1-NN: plain (#%d, %v) != serial (#%d, %v)", got.Pos, got.Dist, want.Pos, want.Dist)
-	}
-	sgot, sst, err := h.shrd.SearchScoped(q, 0, scope)
-	if h.shardErr("1-NN", err) {
+	if req.Kind == messi.Approx {
+		h.checkApprox(who, req, q, lo, got, want)
 		return
-	}
-	if sst.Observed != h.mirror.Len() {
-		h.t.Fatalf("observed sharded %d, mirror has %d", sst.Observed, h.mirror.Len())
-	}
-	if sgot.Pos != want.Pos || sgot.Dist != want.Dist {
-		h.t.Errorf("1-NN: sharded (#%d, %v) != serial (#%d, %v)", sgot.Pos, sgot.Dist, want.Pos, want.Dist)
-	}
-}
-
-// opSearchWindow queries the most recent n landed series — sometimes a
-// window wider than everything landed (degenerating to a full search),
-// sometimes a thin recent slice — and compares both systems against the
-// serial scan of exactly that live suffix.
-func (h *harness) opSearchWindow() {
-	q := h.query()
-	n := 1 + h.rng.Intn(h.mirror.Len()+8)
-	tenant := ""
-	if h.rng.Intn(4) == 0 {
-		tenant = "tenant-w"
-		h.tenanted++
-	}
-	want := ucr.ScanLive(h.mirror, q, h.mirror.Len()-n, h.isDead)
-	got, _, err := h.plain.SearchWindowTenant(q, n, 0, tenant)
-	if err != nil {
-		h.t.Fatal(err)
-	}
-	if got.Pos != want.Pos || got.Dist != want.Dist {
-		h.t.Errorf("window(n=%d): plain (#%d, %v) != serial (#%d, %v)", n, got.Pos, got.Dist, want.Pos, want.Dist)
-	}
-	sgot, _, err := h.shrd.SearchWindowTenant(q, n, 0, tenant)
-	if h.shardErr("window", err) {
-		return
-	}
-	if sgot.Pos != want.Pos || sgot.Dist != want.Dist {
-		h.t.Errorf("window(n=%d): sharded (#%d, %v) != serial (#%d, %v)", n, sgot.Pos, sgot.Dist, want.Pos, want.Dist)
-	}
-	h.windows++
-}
-
-func (h *harness) opKNN() {
-	q := h.query()
-	k := 1 + h.rng.Intn(6)
-	want := ucr.ScanLiveKNN(h.mirror, q, k, 0, h.isDead)
-	got, _, err := h.plain.SearchKNN(q, k, 0)
-	if err != nil {
-		h.t.Fatal(err)
 	}
 	if len(got) != len(want) {
-		h.t.Fatalf("k-NN sizes: plain %d, serial %d", len(got), len(want))
-	}
-	for r := range want {
-		if got[r].Pos != want[r].Pos || got[r].Dist != want[r].Dist {
-			h.t.Errorf("k-NN rank %d: plain (#%d, %v) != serial (#%d, %v)",
-				r, got[r].Pos, got[r].Dist, want[r].Pos, want[r].Dist)
-		}
-	}
-	sgot, _, err := h.shrd.SearchKNN(q, k, 0)
-	if h.shardErr("k-NN", err) {
+		h.t.Errorf("%s %+v: %d results, serial %d", who, req, len(got), len(want))
 		return
 	}
-	if len(sgot) != len(want) {
-		h.t.Fatalf("k-NN sizes: sharded %d, serial %d", len(sgot), len(want))
-	}
 	for r := range want {
-		if sgot[r].Pos != want[r].Pos || sgot[r].Dist != want[r].Dist {
-			h.t.Errorf("k-NN rank %d: sharded (#%d, %v) != serial (#%d, %v)",
-				r, sgot[r].Pos, sgot[r].Dist, want[r].Pos, want[r].Dist)
+		if got[r] != want[r] {
+			h.t.Errorf("%s %+v rank %d: (#%d, %v) != serial (#%d, %v)",
+				who, req, r, got[r].Pos, got[r].Dist, want[r].Pos, want[r].Dist)
 		}
 	}
 }
 
-func (h *harness) opDTW() {
-	q := h.query()
-	w := h.rng.Intn(6)
-	want := ucr.ScanLiveDTW(h.mirror, q, w, 0, h.isDead)
-	got, _, err := h.plain.SearchDTW(q, w, 0)
-	if err != nil {
-		h.t.Fatal(err)
-	}
-	if got.Pos != want.Pos || got.Dist != want.Dist {
-		h.t.Errorf("DTW(w=%d): plain (#%d, %v) != serial (#%d, %v)", w, got.Pos, got.Dist, want.Pos, want.Dist)
-	}
-	sgot, _, err := h.shrd.SearchDTW(q, w, 0)
-	if h.shardErr("DTW", err) {
+// checkApprox checks the approximate contract: the reported position is a
+// live series inside the window, its reported distance is that series' true
+// distance, and it upper-bounds the exact answer.
+func (h *harness) checkApprox(who string, req messi.Request, q series.Series, lo int, got, exact []core.Result) {
+	if len(got) == 0 {
+		// No answer is within the approximate contract once deletes or a
+		// window exist: the probed leaves (a bounded set) may all be
+		// tombstoned or outside the window even while live series sit
+		// elsewhere. Over everything, with no deletes, a non-empty index
+		// must always answer.
+		if len(exact) > 0 && len(h.dead) == 0 && req.LastN == 0 {
+			h.t.Errorf("%s approx returned no answer over a live collection", who)
+		}
 		return
 	}
-	if sgot.Pos != want.Pos || sgot.Dist != want.Dist {
-		h.t.Errorf("DTW(w=%d): sharded (#%d, %v) != serial (#%d, %v)", w, sgot.Pos, sgot.Dist, want.Pos, want.Dist)
-	}
-}
-
-// opApproximate checks the approximate contract on both systems: the
-// reported position is in range, its reported distance is that position's
-// true distance, and it upper-bounds the exact answer.
-func (h *harness) opApproximate() {
-	q := h.query()
-	exact := ucr.ScanLive(h.mirror, q, 0, h.isDead)
-	for name, search := range map[string]func() (core.Result, error){
-		"plain":   func() (core.Result, error) { return h.plain.SearchApproximate(q) },
-		"sharded": func() (core.Result, error) { return h.shrd.SearchApproximate(q) },
-	} {
-		r, err := search()
-		if name == "sharded" && h.shardErr("approx", err) {
-			continue
-		}
-		if err != nil {
-			h.t.Fatal(err)
-		}
-		if r.Pos < 0 {
-			// No answer is within the approximate contract once deletes
-			// exist: the probed leaves (a bounded set) may all be
-			// tombstoned even while live series sit elsewhere. With no
-			// deletes a non-empty index must always answer.
-			if exact.Pos >= 0 && len(h.dead) == 0 {
-				h.t.Errorf("%s approx returned no answer over a live collection", name)
-			}
-			continue
-		}
-		if exact.Pos < 0 {
-			// Nothing is live; an approximate answer would have to name a
-			// deleted series.
-			h.t.Errorf("%s approx answered #%d with nothing live", name, r.Pos)
-			continue
-		}
-		if int(r.Pos) >= h.mirror.Len() {
-			h.t.Errorf("%s approx position %d out of range [0, %d)", name, r.Pos, h.mirror.Len())
-			continue
-		}
-		if h.dead[int(r.Pos)] {
-			h.t.Errorf("%s approx answered deleted series #%d", name, r.Pos)
-			continue
-		}
-		if r.Dist < exact.Dist {
-			h.t.Errorf("%s approx distance %v below exact %v", name, r.Dist, exact.Dist)
-		}
+	r := got[0]
+	switch {
+	case len(got) != 1:
+		h.t.Errorf("%s approx returned %d results", who, len(got))
+	case len(exact) == 0:
+		// Nothing is live in the window; an approximate answer would have
+		// to name a deleted or out-of-window series.
+		h.t.Errorf("%s approx answered #%d with nothing live", who, r.Pos)
+	case int(r.Pos) < lo || int(r.Pos) >= h.mirror.Len():
+		h.t.Errorf("%s approx position %d out of range [%d, %d)", who, r.Pos, lo, h.mirror.Len())
+	case h.dead[int(r.Pos)]:
+		h.t.Errorf("%s approx answered deleted series #%d", who, r.Pos)
+	case r.Dist < exact[0].Dist:
+		h.t.Errorf("%s approx distance %v below exact %v", who, r.Dist, exact[0].Dist)
+	default:
 		if d := vector.SquaredEDEarlyAbandon(q, h.mirror.At(int(r.Pos)), math.Inf(1)); d != r.Dist {
-			h.t.Errorf("%s approx reports %v for #%d, true distance %v", name, r.Dist, r.Pos, d)
+			h.t.Errorf("%s approx reports %v for #%d, true distance %v", who, r.Dist, r.Pos, d)
 		}
 	}
 }

@@ -187,7 +187,7 @@ func TestConcurrentDeleteStress(t *testing.T) {
 					o.res = []core.Result{res}
 				case 3:
 					o.winN = 64 + 97*it
-					res, _, err := ix.SearchWindow(q, o.winN, 0)
+					res, _, err := searchWindow(ix, q, o.winN)
 					if err != nil {
 						t.Error(err)
 						return

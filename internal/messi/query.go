@@ -144,52 +144,20 @@ func (ix *Index) leafSeries(leaf *core.Node, i int) series.Series {
 	return ix.At(int(leaf.Pos[i]))
 }
 
-// forLeafBounds computes the whole leaf's summary lower bounds in one
-// batched pass over its contiguous SAX block (bit-identical to the
-// per-entry MinDistSAX values) and invokes each for every entry. Callers
-// read their live pruning threshold inside each, so every compare sees
-// the freshest BSF. This is the shared skeleton of all three refinement
-// flavors (ED, k-NN, DTW).
-func (ix *Index) forLeafBounds(table *isax.QueryTable, leaf *core.Node, st *QueryStats, lb *lbScratch, each func(i int, bound float64)) {
-	bounds := lb.take(leaf.Count)
-	vector.MinDistBatch(table.Cells(), leaf.SAX, ix.cfg.Segments, table.Card(), bounds)
-	st.EntriesChecked += leaf.Count
-	for i, b := range bounds {
-		each(i, b)
-	}
-}
-
-// forDeltaBounds is forLeafBounds over the delta suffix [lo, hi): bounds
-// are batched run-by-run over the append log's chunk-contiguous rows, and
-// each receives absolute delta indexes.
-func (ix *Index) forDeltaBounds(table *isax.QueryTable, lo, hi int, st *QueryStats, lb *lbScratch, each func(i int, bound float64)) {
-	for i := lo; i < hi; {
-		rows, k := ix.saxLog.Run(i, hi)
-		bounds := lb.take(k)
-		vector.MinDistBatch(table.Cells(), rows, ix.cfg.Segments, table.Card(), bounds)
-		st.EntriesChecked += k
-		for j, b := range bounds {
-			each(i+j, b)
-		}
-		i += k
-	}
-}
-
 // probeLeaves runs the approximate phase: the p best leaves under the
-// query's summary (see core.Tree.BestLeavesApprox) are refined with the
-// same closure the best-first phase uses, seeding the BSF with exact
+// query's summary (see core.Tree.BestLeavesApprox) are refined exactly as
+// the best-first phase refines its candidates, seeding the sink with exact
 // distances. Probing several neighboring leaves instead of one tightens
-// the initial BSF, which shrinks everything downstream: fewer leaves
+// the initial bound, which shrinks everything downstream: fewer leaves
 // survive tree pruning, fewer entries survive the lower-bound filter.
-func (ix *Index) probeLeaves(sc *searchScratch, t *core.Tree, stats *QueryStats,
-	refine func(leaf *core.Node, st *QueryStats, lb *lbScratch)) {
-	lb := ix.getLB()
-	sc.probed = append(sc.probed[:0], t.BestLeavesApprox(sc.qsax, sc.qpaa, ix.probeLeavesNow())...)
+func (c *query) probeLeaves(sc *searchScratch, t *core.Tree, stats *QueryStats) {
+	lb := c.ix.getLB()
+	sc.probed = append(sc.probed[:0], t.BestLeavesApprox(sc.qsax, sc.qpaa, c.ix.probeLeavesNow())...)
 	for _, leaf := range sc.probed {
 		stats.ProbeLeaves++
-		refine(leaf, stats, lb)
+		c.refineLeaf(leaf, stats, lb)
 	}
-	ix.putLB(lb)
+	c.ix.putLB(lb)
 }
 
 // wasProbed reports whether the approximate phase already refined leaf.
@@ -202,13 +170,119 @@ func (sc *searchScratch) wasProbed(leaf *core.Node) bool {
 	return false
 }
 
+// Kind selects a query's flavor. Every kind runs the same pipeline over the
+// same index — probe, pruned traversal, best-first refinement, delta scan —
+// and differs only in its lower-bound table, its pruning threshold and its
+// per-entry check (paper §V).
+type Kind uint8
+
+const (
+	// NN is exact 1-NN under Euclidean distance.
+	NN Kind = iota
+	// KNN is exact k-NN under Euclidean distance; set Request.K. The k-th
+	// best distance plays the BSF role.
+	KNN
+	// DTW is exact 1-NN under dynamic time warping with a Sakoe-Chiba band
+	// of half-width Request.Band: pruning uses the envelope-based iSAX
+	// lower bound, survivors pass LB_Keogh before the dynamic program.
+	DTW
+	// Approx is the iSAX approximate answer with multi-probing: only the
+	// ProbeLeaves best-matching leaves and the unmerged delta (small by
+	// construction) are refined, with no traversal of the rest of the tree.
+	// Its distance upper-bounds the exact answer over everything observed.
+	Approx
+)
+
+// Request is one query: its flavor and the slice of the index it answers
+// over.
+type Request struct {
+	Kind Kind
+	// K is the neighbor count of a KNN request; it must be > 0.
+	K int
+	// Band is the Sakoe-Chiba half-width of a DTW request (negative means 0).
+	Band int
+	// LastN, when > 0, restricts the query to the most recent LastN landed
+	// series: the consistent append cut captured at call time composed with
+	// a lower cut LastN positions back. A window wider than everything
+	// landed covers everything.
+	LastN int
+	// Workers caps the query's share of the worker pool, up to the pool
+	// size; ≤ 0 takes a fair share (see bestFirstSearch).
+	Workers int
+	// Tenant is an opaque tenant ID for fair scheduling: the engine divides
+	// pool shares across tenants with live queries, so one tenant's storm
+	// cannot starve the rest. "" is untenanted.
+	Tenant string
+}
+
+// Validate reports a request that no index of series length n can answer.
+func (r Request) Validate(q series.Series, n int) error {
+	switch {
+	case len(q) != n:
+		return fmt.Errorf("messi: query length %d != %d", len(q), n)
+	case r.Kind > Approx:
+		return fmt.Errorf("messi: unknown query kind %d", r.Kind)
+	case r.Kind == KNN && r.K <= 0:
+		return fmt.Errorf("messi: k-NN request needs K > 0, got %d", r.K)
+	case r.LastN < 0:
+		return fmt.Errorf("messi: window size %d, want > 0", r.LastN)
+	}
+	return nil
+}
+
+// Sink accumulates one logical query's answer. The caller owns it, so
+// several indexes answering one query — a sharding layer's shards — can
+// share it: a bound tightened by any of them immediately prunes the
+// traversal, lower-bound filtering and early abandoning of all of them,
+// not just the merged answer afterwards.
+type Sink struct {
+	best *xsync.Best  // NN, DTW, Approx
+	kb   *xsync.KBest // KNN
+}
+
+// NewSink returns an empty sink for req's kind.
+func NewSink(req Request) *Sink {
+	if req.Kind == KNN {
+		return &Sink{kb: xsync.NewKBest(req.K)}
+	}
+	return &Sink{best: xsync.NewBest()}
+}
+
+// threshold is the live pruning bound: the best distance so far, or the
+// k-th best for k-NN.
+func (s *Sink) threshold() float64 {
+	if s.kb != nil {
+		return s.kb.Threshold()
+	}
+	return s.best.Distance()
+}
+
+// Results returns the answer in ascending distance order: at most one
+// result for a 1-NN kind, up to K for k-NN, none when nothing visible
+// matched.
+func (s *Sink) Results() []core.Result {
+	if s.kb != nil {
+		es := s.kb.Sorted()
+		out := make([]core.Result, len(es))
+		for i, e := range es {
+			out[i] = core.Result{Pos: e.Pos, Dist: e.Dist}
+		}
+		return out
+	}
+	d, p := s.best.Load()
+	if p < 0 {
+		return nil
+	}
+	return []core.Result{{Pos: int32(p), Dist: d}}
+}
+
 // identPos is the position map of an unsharded query: local positions ARE
 // the answer positions.
 func identPos(p int32) int32 { return p }
 
-// Scope bounds one query's visible position space and carries its tenant
-// identity. The zero Scope answers over nothing appended — use FullScope
-// (or AppendCut: -1) for "everything published".
+// Scope bounds one query's visible position space. The zero Scope answers
+// over nothing appended — use FullScope (or AppendCut: -1) for "everything
+// published".
 type Scope struct {
 	// AppendCut, when ≥ 0, bounds the query to the first AppendCut appended
 	// series, so a sharding layer can pin one consistent cross-shard
@@ -218,14 +292,9 @@ type Scope struct {
 	// below it — the sliding-window lower cut. Composed with AppendCut the
 	// query ranges over exactly the global suffix [LowPos, cut).
 	LowPos int32
-	// Tenant is an opaque tenant ID for fair scheduling: the engine divides
-	// pool shares across tenants with live queries, so one tenant's storm
-	// cannot starve the rest. "" is the untenanted default (exactly the
-	// pre-tenant behavior).
-	Tenant string
 }
 
-// FullScope answers over everything published, untenanted.
+// FullScope answers over everything published.
 var FullScope = Scope{AppendCut: -1}
 
 // qfilter is the per-entry visibility filter one query carries: the
@@ -260,10 +329,10 @@ func (ix *Index) failQuery(err error) error {
 // one shard's branch of a scatter-gather query, recognizable by its
 // non-nil position map — contributes to pool scheduling (FairShare) but
 // not to the Queries throughput counter: the sharding layer counts the
-// logical query exactly once. Every search flavor funnels through here,
-// so the returned end also feeds the index's own observability surface
-// (per-index search count and latency histogram) and gives the tuner
-// its per-query tick.
+// logical query exactly once. Every query funnels through here, so the
+// returned end also feeds the index's own observability surface (per-index
+// search count and latency histogram) and gives the tuner its per-query
+// tick.
 func (ix *Index) beginQuery(sub bool, tenant string) (end func()) {
 	t0 := time.Now()
 	var endE func()
@@ -304,75 +373,150 @@ func (ix *Index) sharedCut(mapPos func(int32) int32, scope Scope) (v view, mp fu
 	return v, mp, f
 }
 
-// Search answers an exact 1-NN query over everything the index holds at
-// call time: the tree snapshot plus an exact scan of the unmerged delta.
-// workers ≤ 0 means the index's configured worker count; the effective
-// parallelism is additionally capped by the index's pool size, which all
-// in-flight queries share.
-func (ix *Index) Search(q series.Series, workers int) (core.Result, *QueryStats, error) {
-	return ix.SearchScoped(q, workers, FullScope)
-}
-
-// SearchScoped is Search under an explicit Scope: a bounded append cut, a
-// sliding-window lower cut, a tenant identity, or any combination.
-func (ix *Index) SearchScoped(q series.Series, workers int, scope Scope) (core.Result, *QueryStats, error) {
-	if len(q) != ix.cfg.SeriesLen {
-		return core.NoResult(), nil, fmt.Errorf("messi: query length %d != %d", len(q), ix.cfg.SeriesLen)
-	}
-	best := xsync.NewBest()
-	stats, err := ix.SearchShared(q, workers, best, nil, scope)
-	if err != nil {
-		return core.NoResult(), nil, err
-	}
-	d, p := best.Load()
-	return core.Result{Pos: int32(p), Dist: d}, stats, nil
-}
-
-// SearchWindow answers an exact 1-NN query over the most recent n landed
-// series: the consistent append cut captured at call time composed with a
-// lower cut n positions back. A window wider than everything landed so far
-// degenerates to Search. The answer is bit-identical to a serial scan of
-// exactly that suffix minus tombstones.
-func (ix *Index) SearchWindow(q series.Series, n, workers int) (core.Result, *QueryStats, error) {
-	return ix.SearchWindowTenant(q, n, workers, "")
-}
-
-// SearchWindowTenant is SearchWindow under a tenant identity.
-func (ix *Index) SearchWindowTenant(q series.Series, n, workers int, tenant string) (core.Result, *QueryStats, error) {
-	scope, err := ix.windowScope(n)
-	if err != nil {
-		return core.NoResult(), nil, err
-	}
-	scope.Tenant = tenant
-	return ix.SearchScoped(q, workers, scope)
-}
-
-// windowScope captures the consistent cut of a most-recent-n window: the
-// published append count as the upper cut, total-n as the global lower cut.
-func (ix *Index) windowScope(n int) (Scope, error) {
-	if n <= 0 {
-		return Scope{}, fmt.Errorf("messi: window size %d, want > 0", n)
-	}
+// windowScope captures the consistent cut of a most-recent-n window (n > 0):
+// the published append count as the upper cut, total-n as the global lower
+// cut.
+func (ix *Index) windowScope(n int) Scope {
 	cut := int(ix.appended.Load())
-	return Scope{AppendCut: cut, LowPos: int32(max(0, ix.baseLen+cut-n))}, nil
+	return Scope{AppendCut: cut, LowPos: int32(max(0, ix.baseLen+cut-n))}
 }
 
-// SearchShared is the scatter-gather form of Search, the injection point a
-// sharding layer uses to run one logical query across many indexes: the
-// best-so-far lives in the caller-owned best, so a tight bound found by any
-// shard immediately prunes every other shard's traversal, lower-bound
-// filtering and early abandoning — not just the merged answer afterwards.
-// Every improvement is recorded under mapPos (local position → the caller's
-// global position space; nil means identity). scope bounds the visible
-// position space — append cut, window lower cut — and names the tenant (see
-// Scope); FullScope answers over everything published. The caller reads the
-// answer from best after the call (and after every sibling shard's call,
-// when sharing).
-func (ix *Index) SearchShared(q series.Series, workers int, best *xsync.Best, mapPos func(int32) int32, scope Scope) (stats *QueryStats, err error) {
-	if len(q) != ix.cfg.SeriesLen {
-		return nil, fmt.Errorf("messi: query length %d != %d", len(q), ix.cfg.SeriesLen)
+// query is one index's share of one logical query. Its methods hold the
+// only things that differ by kind — the bound table the caller fills, the
+// threshold and the survivor check — and the one loop every refinement and
+// delta scan runs: bound, filter, fetch, check.
+type query struct {
+	ix    *Index
+	q     series.Series
+	kind  Kind
+	band  int
+	env   *series.Envelope // DTW only
+	table *isax.QueryTable
+	Sink
+	mp func(int32) int32
+	f  qfilter
+}
+
+// check pays the exact distance of one series at local position p whose
+// bound and filter passed under threshold lim, and offers it to the sink.
+func (c *query) check(s series.Series, p int32, lim float64, st *QueryStats) {
+	if c.kind == DTW {
+		if series.LBKeogh(c.env, s, lim) >= lim {
+			return
+		}
+		st.RawDistances++
+		if d := series.DTW(c.q, s, c.band, lim); d < lim {
+			c.best.Update(d, int64(c.mp(p)))
+		}
+		return
 	}
-	v, mp, f := ix.sharedCut(mapPos, scope)
+	st.RawDistances++
+	d := vector.SquaredEDEarlyAbandon(c.q, s, lim)
+	if c.kb != nil {
+		c.kb.Offer(c.mp(p), d)
+	} else if d < lim {
+		c.best.Update(d, int64(c.mp(p)))
+	}
+}
+
+// refine runs bound, filter, fetch, check over one batch: bounds[i]
+// lower-bounds entry i of leaf or, for a nil leaf, delta row lo+i. The
+// threshold is re-read per entry, so every compare sees the freshest
+// bound, and a series is fetched only once its bound and its filter pass —
+// the cold tier reads nothing the bound prunes.
+func (c *query) refine(bounds []float64, leaf *core.Node, lo int, st *QueryStats) {
+	for i, b := range bounds {
+		lim := c.threshold()
+		if b >= lim {
+			continue
+		}
+		p := int32(c.ix.baseLen + lo + i)
+		if leaf != nil {
+			p = leaf.Pos[i]
+		}
+		if c.f.skip(p, c.mp) {
+			continue
+		}
+		var s series.Series
+		if leaf != nil {
+			s = c.ix.leafSeries(leaf, i)
+		} else {
+			s = c.ix.store.At(lo + i)
+		}
+		c.check(s, p, lim, st)
+	}
+}
+
+// lowerBounds fills out with the summary lower bounds of the SAX rows. The
+// approximate kind has no bound table: it checks every entry of its few
+// probed leaves, so its bounds are all zero.
+func (c *query) lowerBounds(rows []uint8, out []float64) {
+	if c.table == nil {
+		clear(out)
+		return
+	}
+	vector.MinDistBatch(c.table.Cells(), rows, c.ix.cfg.Segments, c.table.Card(), out)
+}
+
+// refineLeaf computes a leaf's summary lower bounds in one batched pass
+// over its contiguous SAX block (bit-identical to the per-entry MinDistSAX
+// values), then refines the survivors against the leaf's materialized raw
+// block — two sequential streams instead of per-entry pointer chasing.
+func (c *query) refineLeaf(leaf *core.Node, st *QueryStats, lb *lbScratch) {
+	bounds := lb.take(leaf.Count)
+	c.lowerBounds(leaf.SAX, bounds)
+	st.EntriesChecked += leaf.Count
+	c.refine(bounds, leaf, 0, st)
+}
+
+// scanDelta is refineLeaf over the delta suffix [lo, hi): bounds are
+// batched run-by-run over the append log's chunk-contiguous rows.
+func (c *query) scanDelta(lo, hi int, st *QueryStats, lb *lbScratch) {
+	for i := lo; i < hi; {
+		rows, k := c.ix.saxLog.Run(i, hi)
+		bounds := lb.take(k)
+		c.lowerBounds(rows, bounds)
+		st.EntriesChecked += k
+		c.refine(bounds, nil, i, st)
+		i += k
+	}
+}
+
+// Query answers req over everything the index holds at call time — the
+// tree snapshot plus the unmerged delta — or over its most recent
+// req.LastN landed series, minus tombstones. Results come in ascending
+// distance order and are empty when nothing visible matches. Exact kinds
+// are bit-identical to a serial scan of exactly the observed slice.
+func (ix *Index) Query(q series.Series, req Request) ([]core.Result, *QueryStats, error) {
+	if err := req.Validate(q, ix.cfg.SeriesLen); err != nil {
+		return nil, nil, err
+	}
+	cut := FullScope
+	if req.LastN > 0 {
+		cut = ix.windowScope(req.LastN)
+	}
+	sink := NewSink(req)
+	stats, err := ix.QueryShared(q, req, cut, sink, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	return sink.Results(), stats, nil
+}
+
+// QueryShared is the scatter-gather form of Query, the injection point a
+// sharding layer uses to run one logical query across many indexes: the
+// answer accumulates in the caller-owned sink, which sibling shards may
+// share (see Sink). Every offer is recorded under mapPos (local position →
+// the caller's global position space; nil means identity), so a shared
+// k-best set deduplicates globally unique positions. cut bounds the
+// visible position space — append cut and window lower cut — in place of
+// req.LastN, which is not consulted. The caller reads the answer from the
+// sink after the call (and after every sibling shard's call, when sharing).
+func (ix *Index) QueryShared(q series.Series, req Request, cut Scope, sink *Sink, mapPos func(int32) int32) (stats *QueryStats, err error) {
+	if err := req.Validate(q, ix.cfg.SeriesLen); err != nil {
+		return nil, err
+	}
+	v, mp, f := ix.sharedCut(mapPos, cut)
 	stats = &QueryStats{Observed: v.total(ix.baseLen)}
 	if stats.Observed == 0 {
 		return stats, nil
@@ -385,38 +529,70 @@ func (ix *Index) SearchShared(q series.Series, workers int, best *xsync.Best, ma
 			stats, err = nil, ix.failQuery(engine.Contain(r))
 		}
 	}()
-
+	end := ix.beginQuery(mapPos != nil, req.Tenant)
+	defer end()
 	sc := ix.getScratch()
 	defer ix.putScratch(sc)
 	sc.summarizeQuery(q)
 
+	c := &query{ix: ix, q: q, kind: req.Kind, table: sc.table, Sink: *sink, mp: mp, f: f}
 	t := v.snap.tree
-	sc.table.FillED(t.Quantizer(), sc.qpaa, ix.cfg.SeriesLen)
-	sc.mt.FillFrom(t.Quantizer(), sc.table)
-
-	refine := func(leaf *core.Node, st *QueryStats, lb *lbScratch) {
-		ix.refineLeafED(q, sc.table, leaf, best, st, lb, mp, f)
+	switch req.Kind {
+	case DTW:
+		c.band = max(req.Band, 0)
+		c.env = series.NewEnvelope(q, c.band)
+		sc.table.FillDTW(t.Quantizer(), paa.Transform(c.env.Upper, ix.cfg.Segments),
+			paa.Transform(c.env.Lower, ix.cfg.Segments), ix.cfg.SeriesLen)
+	case Approx:
+		c.table = nil
+	default:
+		sc.table.FillED(t.Quantizer(), sc.qpaa, ix.cfg.SeriesLen)
 	}
 	// Approximate phase: exact distances over the closest p leaves.
-	ix.probeLeaves(sc, t, stats, refine)
-
-	if err := ix.bestFirstSearch(workers, mapPos != nil, scope.Tenant, stats, best.Distance, sc, v,
-		refine,
-		func(lo, hi int, st *QueryStats, lb *lbScratch) {
-			ix.forDeltaBounds(sc.table, lo, hi, st, lb, func(i int, b float64) {
-				limit := best.Distance()
-				if b >= limit || f.skip(int32(ix.baseLen+i), mp) {
-					return
-				}
-				st.RawDistances++
-				if d := vector.SquaredEDEarlyAbandon(q, ix.store.At(i), limit); d < limit {
-					best.Update(d, int64(mp(int32(ix.baseLen+i))))
-				}
-			})
-		}); err != nil {
+	c.probeLeaves(sc, t, stats)
+	if req.Kind == Approx {
+		lb := ix.getLB()
+		c.scanDelta(v.snap.mergedA, max(v.aLive, v.snap.mergedA), stats, lb)
+		ix.putLB(lb)
+		return stats, nil
+	}
+	// The multi-cardinality view of a DTW table remains a valid DTW lower
+	// bound: coarse cells are minima over their sub-regions.
+	sc.mt.FillFrom(t.Quantizer(), sc.table)
+	if err := ix.bestFirstSearch(c, req.Workers, req.Tenant, stats, sc, v); err != nil {
 		return nil, ix.failQuery(err)
 	}
 	return stats, nil
+}
+
+// Search answers an exact 1-NN query over everything the index holds at
+// call time. workers ≤ 0 means a fair share of the pool.
+func (ix *Index) Search(q series.Series, workers int) (core.Result, *QueryStats, error) {
+	rs, st, err := ix.Query(q, Request{Workers: workers})
+	return core.First(rs), st, err
+}
+
+// SearchKNN answers an exact k-NN query, returning the k nearest series in
+// ascending distance order; k ≤ 0 answers nothing.
+func (ix *Index) SearchKNN(q series.Series, k, workers int) ([]core.Result, *QueryStats, error) {
+	if k <= 0 {
+		return nil, &QueryStats{}, nil
+	}
+	return ix.Query(q, Request{Kind: KNN, K: k, Workers: workers})
+}
+
+// SearchDTW answers an exact 1-NN query under DTW with a Sakoe-Chiba band
+// of half-width window.
+func (ix *Index) SearchDTW(q series.Series, window, workers int) (core.Result, *QueryStats, error) {
+	rs, st, err := ix.Query(q, Request{Kind: DTW, Band: window, Workers: workers})
+	return core.First(rs), st, err
+}
+
+// SearchApproximate answers a query with the approximate algorithm (see
+// Approx), in microseconds.
+func (ix *Index) SearchApproximate(q series.Series) (core.Result, error) {
+	rs, _, err := ix.Query(q, Request{Kind: Approx})
+	return core.First(rs), err
 }
 
 // RunBatch answers one exact query per element of qs concurrently under
@@ -476,68 +652,33 @@ func (ix *Index) BatchSearch(qs []series.Series) ([]core.Result, error) {
 	return results, err
 }
 
-// refineLeafED checks a leaf's entries: lower bounds for the whole leaf
-// are computed in one batched pass over its contiguous SAX block (bit-
-// identical to the per-entry MinDistSAX values), then survivors pay an
-// early-abandoning real distance against the leaf's materialized raw
-// block — two sequential streams instead of per-entry pointer chasing.
-// Entries outside the query's filter — past the consistent cut, tombstoned,
-// or below a window's lower cut — are skipped; improvements land in best
-// under mp.
-func (ix *Index) refineLeafED(q series.Series, table *isax.QueryTable, leaf *core.Node, best *xsync.Best, stats *QueryStats, lb *lbScratch, mp func(int32) int32, f qfilter) {
-	ix.forLeafBounds(table, leaf, stats, lb, func(i int, b float64) {
-		limit := best.Distance()
-		if b >= limit || f.skip(leaf.Pos[i], mp) {
-			return
-		}
-		stats.RawDistances++
-		if d := vector.SquaredEDEarlyAbandon(q, ix.leafSeries(leaf, i), limit); d < limit {
-			best.Update(d, int64(mp(leaf.Pos[i])))
-		}
-	})
-}
-
 // deltaBlock is the delta-scan work-claiming granularity in series.
 const deltaBlock = 1024
 
 // bestFirstSearch runs MESSI stage 3: a parallel pruned traversal collecting
 // the surviving leaves — concurrently with an exact scan of the view's
 // unmerged delta suffix — then a barrier, then parallel best-first
-// refinement of the candidates in ascending lower-bound order. bsf reads
-// the live pruning threshold (the BSF for 1-NN, the k-th best for k-NN);
-// refine and scanDelta abstract the distance flavor (ED vs DTW), and the
-// traversal prunes on sc.mt, which the caller filled with the flavor's
-// bounds. The delta scan shares the BSF with the traversal, so abandoning
-// thresholds tighten globally whichever side improves the answer first.
-// refine and scanDelta receive a per-task lower-bound buffer for their
-// batched bound computations.
+// refinement of the candidates in ascending lower-bound order. c carries
+// the kind's threshold (the BSF for 1-NN, the k-th best for k-NN) and its
+// refinement; the traversal prunes on sc.mt, which the caller filled with
+// the kind's bounds. The delta scan shares the sink with the traversal, so
+// abandoning thresholds tighten globally whichever side improves the
+// answer first. Every refinement or delta task checks out its own
+// lower-bound buffer for its batched bound computations.
 //
 // All phases execute as tasks on the index's shared worker pool rather
 // than per-call goroutines: with several queries in flight, their tasks
 // interleave through one run queue and the machine runs at most pool-size
 // tasks at any instant. workers caps THIS query's share of the pool (the
 // per-call scaling knob); each phase submits at most that many tasks and
-// the phase barrier waits only for its own. sub marks a sharded
-// sub-search (see beginQuery).
+// the phase barrier waits only for its own.
 //
 // A task that panics — a cold-device *storage.BlockError surfacing inside
 // a refinement, typically — is contained at the Group boundary; the phase
 // barrier still releases, and bestFirstSearch returns the first contained
 // panic as an error. The caller must then discard the answer: the shared
-// best-so-far may be missing contributions from the failed tasks.
-func (ix *Index) bestFirstSearch(
-	workers int,
-	sub bool,
-	tenant string,
-	stats *QueryStats,
-	bsf func() float64,
-	sc *searchScratch,
-	v view,
-	refine func(leaf *core.Node, st *QueryStats, lb *lbScratch),
-	scanDelta func(lo, hi int, st *QueryStats, lb *lbScratch),
-) error {
-	end := ix.beginQuery(sub, tenant)
-	defer end()
+// sink may be missing contributions from the failed tasks.
+func (ix *Index) bestFirstSearch(c *query, workers int, tenant string, stats *QueryStats, sc *searchScratch, v view) error {
 	if workers <= 0 {
 		// Unpinned queries take a fair share of the pool: full fan-out when
 		// alone, a proportional slice when other queries are active — and,
@@ -550,6 +691,7 @@ func (ix *Index) bestFirstSearch(
 	}
 	t := v.snap.tree
 	keys := t.RootKeys()
+	bsf := c.threshold
 
 	// Phase A: traversal plus delta scan. Traversal tasks claim blocks of
 	// root keys with Fetch&Inc: a tree over a scaled-down collection has
@@ -607,7 +749,7 @@ func (ix *Index) bestFirstSearch(
 				if lo >= deltaHi {
 					break
 				}
-				scanDelta(lo, min(lo+deltaBlock, deltaHi), &st, lb)
+				c.scanDelta(lo, min(lo+deltaBlock, deltaHi), &st, lb)
 			}
 			ix.putLB(lb)
 			entries.Add(int64(st.EntriesChecked))
@@ -660,7 +802,7 @@ func (ix *Index) bestFirstSearch(
 			var held *core.Node
 			for {
 				i := int(next.Next())
-				if i >= len(cands) || cands[i].bound >= bsf() {
+				if i >= len(cands) || cands[i].bound >= c.threshold() {
 					break
 				}
 				n++
@@ -669,16 +811,16 @@ func (ix *Index) bestFirstSearch(
 					pos := leaf.Pos
 					if g.TrySubmit(func() { ix.prefetch(pos) }) {
 						if held != nil {
-							refine(held, &st, lb)
+							c.refineLeaf(held, &st, lb)
 						}
 						held = leaf
 						continue
 					}
 				}
-				refine(leaf, &st, lb)
+				c.refineLeaf(leaf, &st, lb)
 			}
 			if held != nil {
-				refine(held, &st, lb)
+				c.refineLeaf(held, &st, lb)
 			}
 			ix.putLB(lb)
 			popped.Add(int64(n))
@@ -696,261 +838,4 @@ func (ix *Index) bestFirstSearch(
 	stats.EntriesChecked += int(entries.Load())
 	stats.RawDistances += int(raws.Load())
 	return nil
-}
-
-// SearchApproximate answers a query with the approximate algorithm of the
-// iSAX family, extended with multi-probing: descend to the ProbeLeaves
-// best-matching leaves (the single matching leaf at the classic p=1) and
-// return the best series among them, with no traversal of the rest of the
-// tree. The unmerged delta is exact-scanned too (it is small by
-// construction — merges keep it under the threshold), so the answer's
-// distance still upper-bounds the exact answer over everything the call
-// observed. The answer is not guaranteed to be the true nearest neighbor
-// but is computed in microseconds.
-func (ix *Index) SearchApproximate(q series.Series) (core.Result, error) {
-	return ix.SearchApproximateScoped(q, FullScope)
-}
-
-// SearchApproximateScoped is SearchApproximate under an explicit Scope.
-func (ix *Index) SearchApproximateScoped(q series.Series, scope Scope) (core.Result, error) {
-	return ix.SearchApproximateShared(q, nil, scope)
-}
-
-// SearchApproximateShared is the scatter form of SearchApproximate: the
-// sharding layer probes every shard under one consistent append cut and
-// keeps the best mapped answer, so the reported global position always
-// lies inside the prefix the caller captured — never a series that landed
-// mid-scatter. See SearchShared for the mapPos and scope contracts.
-func (ix *Index) SearchApproximateShared(q series.Series, mapPos func(int32) int32, scope Scope) (res core.Result, err error) {
-	if len(q) != ix.cfg.SeriesLen {
-		return core.NoResult(), fmt.Errorf("messi: query length %d != %d", len(q), ix.cfg.SeriesLen)
-	}
-	v, mp, f := ix.sharedCut(mapPos, scope)
-	if v.total(ix.baseLen) == 0 {
-		return core.NoResult(), nil
-	}
-	// The whole approximate probe runs on this goroutine; contain a
-	// cold-device fault into a typed error.
-	defer func() {
-		if r := recover(); r != nil {
-			res, err = core.NoResult(), ix.failQuery(engine.Contain(r))
-		}
-	}()
-	end := ix.beginQuery(mapPos != nil, scope.Tenant)
-	defer end()
-	sc := ix.getScratch()
-	defer ix.putScratch(sc)
-	sc.summarizeQuery(q)
-
-	best := core.NoResult()
-	for _, leaf := range v.snap.tree.BestLeavesApprox(sc.qsax, sc.qpaa, ix.probeLeavesNow()) {
-		for i := range leaf.Pos {
-			if f.skip(leaf.Pos[i], mp) {
-				continue
-			}
-			if d := vector.SquaredEDEarlyAbandon(q, ix.leafSeries(leaf, i), best.Dist); d < best.Dist {
-				best = core.Result{Pos: mp(leaf.Pos[i]), Dist: d}
-			}
-		}
-	}
-	for i := v.snap.mergedA; i < v.aLive; i++ {
-		if f.skip(int32(ix.baseLen+i), mp) {
-			continue
-		}
-		if d := vector.SquaredEDEarlyAbandon(q, ix.store.At(i), best.Dist); d < best.Dist {
-			best = core.Result{Pos: mp(int32(ix.baseLen + i)), Dist: d}
-		}
-	}
-	return best, nil
-}
-
-// SearchKNN answers an exact k-NN query, returning the k nearest series in
-// ascending distance order. The k-th best distance plays the BSF role.
-func (ix *Index) SearchKNN(q series.Series, k, workers int) ([]core.Result, *QueryStats, error) {
-	return ix.SearchKNNScoped(q, k, workers, FullScope)
-}
-
-// SearchKNNScoped is SearchKNN under an explicit Scope.
-func (ix *Index) SearchKNNScoped(q series.Series, k, workers int, scope Scope) ([]core.Result, *QueryStats, error) {
-	if len(q) != ix.cfg.SeriesLen {
-		return nil, nil, fmt.Errorf("messi: query length %d != %d", len(q), ix.cfg.SeriesLen)
-	}
-	if k <= 0 {
-		return nil, &QueryStats{}, nil
-	}
-	kb := xsync.NewKBest(k)
-	stats, err := ix.SearchKNNShared(q, k, workers, kb, nil, scope)
-	if err != nil {
-		return nil, nil, err
-	}
-	out := make([]core.Result, 0, k)
-	for _, e := range kb.Sorted() {
-		out = append(out, core.Result{Pos: e.Pos, Dist: e.Dist})
-	}
-	return out, stats, nil
-}
-
-// SearchKNNShared is the scatter-gather form of SearchKNN: the k-best set
-// lives in the caller-owned kb — shared across shards, its k-th-best
-// threshold tightens globally as any shard improves the set — and every
-// offer is recorded under mapPos, so the per-position deduplication in kb
-// operates on globally unique positions. See SearchShared for the mapPos
-// and scope contracts; the caller reads the answer from kb.Sorted().
-func (ix *Index) SearchKNNShared(q series.Series, k, workers int, kb *xsync.KBest, mapPos func(int32) int32, scope Scope) (stats *QueryStats, err error) {
-	if len(q) != ix.cfg.SeriesLen {
-		return nil, fmt.Errorf("messi: query length %d != %d", len(q), ix.cfg.SeriesLen)
-	}
-	if k <= 0 {
-		return &QueryStats{}, nil
-	}
-	v, mp, f := ix.sharedCut(mapPos, scope)
-	stats = &QueryStats{Observed: v.total(ix.baseLen)}
-	if stats.Observed == 0 {
-		return stats, nil
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			stats, err = nil, ix.failQuery(engine.Contain(r))
-		}
-	}()
-
-	sc := ix.getScratch()
-	defer ix.putScratch(sc)
-	sc.summarizeQuery(q)
-
-	t := v.snap.tree
-	sc.table.FillED(t.Quantizer(), sc.qpaa, ix.cfg.SeriesLen)
-	sc.mt.FillFrom(t.Quantizer(), sc.table)
-	table := sc.table
-
-	refine := func(leaf *core.Node, st *QueryStats, lb *lbScratch) {
-		ix.forLeafBounds(table, leaf, st, lb, func(i int, b float64) {
-			lim := kb.Threshold()
-			if b >= lim || f.skip(leaf.Pos[i], mp) {
-				return
-			}
-			st.RawDistances++
-			kb.Offer(mp(leaf.Pos[i]), vector.SquaredEDEarlyAbandon(q, ix.leafSeries(leaf, i), lim))
-		})
-	}
-	ix.probeLeaves(sc, t, stats, refine)
-
-	// The k-th best distance plays the BSF role in every pruning decision.
-	if err := ix.bestFirstSearch(workers, mapPos != nil, scope.Tenant, stats, kb.Threshold, sc, v,
-		refine,
-		func(lo, hi int, st *QueryStats, lb *lbScratch) {
-			ix.forDeltaBounds(table, lo, hi, st, lb, func(i int, b float64) {
-				lim := kb.Threshold()
-				if b >= lim || f.skip(int32(ix.baseLen+i), mp) {
-					return
-				}
-				st.RawDistances++
-				kb.Offer(mp(int32(ix.baseLen+i)), vector.SquaredEDEarlyAbandon(q, ix.store.At(i), lim))
-			})
-		}); err != nil {
-		return nil, ix.failQuery(err)
-	}
-	return stats, nil
-}
-
-// SearchDTW answers an exact 1-NN query under DTW with a Sakoe-Chiba band
-// of half-width window, on the unchanged index (paper §V): node pruning and
-// per-entry filtering use the envelope-based iSAX lower bound, candidates
-// pass an LB_Keogh check, and survivors pay the full dynamic program. The
-// unmerged delta runs through the same cascade.
-func (ix *Index) SearchDTW(q series.Series, window, workers int) (core.Result, *QueryStats, error) {
-	return ix.SearchDTWScoped(q, window, workers, FullScope)
-}
-
-// SearchDTWScoped is SearchDTW under an explicit Scope.
-func (ix *Index) SearchDTWScoped(q series.Series, window, workers int, scope Scope) (core.Result, *QueryStats, error) {
-	if len(q) != ix.cfg.SeriesLen {
-		return core.NoResult(), nil, fmt.Errorf("messi: query length %d != %d", len(q), ix.cfg.SeriesLen)
-	}
-	best := xsync.NewBest()
-	stats, err := ix.SearchDTWShared(q, window, workers, best, nil, scope)
-	if err != nil {
-		return core.NoResult(), nil, err
-	}
-	d, p := best.Load()
-	return core.Result{Pos: int32(p), Dist: d}, stats, nil
-}
-
-// SearchDTWShared is the scatter-gather form of SearchDTW: the caller-owned
-// best is shared across shards, so any shard's improvement tightens the
-// LB_Keogh and dynamic-program abandoning thresholds everywhere. See
-// SearchShared for the mapPos and scope contracts.
-func (ix *Index) SearchDTWShared(q series.Series, window, workers int, best *xsync.Best, mapPos func(int32) int32, scope Scope) (stats *QueryStats, err error) {
-	if len(q) != ix.cfg.SeriesLen {
-		return nil, fmt.Errorf("messi: query length %d != %d", len(q), ix.cfg.SeriesLen)
-	}
-	if window < 0 {
-		window = 0
-	}
-	v, mp, f := ix.sharedCut(mapPos, scope)
-	stats = &QueryStats{Observed: v.total(ix.baseLen)}
-	if stats.Observed == 0 {
-		return stats, nil
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			stats, err = nil, ix.failQuery(engine.Contain(r))
-		}
-	}()
-
-	sc := ix.getScratch()
-	defer ix.putScratch(sc)
-	sc.summarizeQuery(q)
-
-	env := series.NewEnvelope(q, window)
-	upPAA := paa.Transform(env.Upper, ix.cfg.Segments)
-	loPAA := paa.Transform(env.Lower, ix.cfg.Segments)
-	n := ix.cfg.SeriesLen
-
-	t := v.snap.tree
-	sc.table.FillDTW(t.Quantizer(), upPAA, loPAA, n)
-	// The multi-cardinality view of the DTW table remains a valid DTW lower
-	// bound: coarse cells are minima over their sub-regions.
-	sc.mt.FillFrom(t.Quantizer(), sc.table)
-	table := sc.table
-
-	refine := func(leaf *core.Node, st *QueryStats, lb *lbScratch) {
-		ix.forLeafBounds(table, leaf, st, lb, func(i int, b float64) {
-			lim := best.Distance()
-			if b >= lim || f.skip(leaf.Pos[i], mp) {
-				return
-			}
-			s := ix.leafSeries(leaf, i)
-			if series.LBKeogh(env, s, lim) >= lim {
-				return
-			}
-			st.RawDistances++
-			if d := series.DTW(q, s, window, lim); d < lim {
-				best.Update(d, int64(mp(leaf.Pos[i])))
-			}
-		})
-	}
-	ix.probeLeaves(sc, t, stats, refine)
-
-	if err := ix.bestFirstSearch(workers, mapPos != nil, scope.Tenant, stats, best.Distance, sc, v,
-		refine,
-		func(lo, hi int, st *QueryStats, lb *lbScratch) {
-			ix.forDeltaBounds(table, lo, hi, st, lb, func(i int, b float64) {
-				lim := best.Distance()
-				if b >= lim || f.skip(int32(ix.baseLen+i), mp) {
-					return
-				}
-				s := ix.store.At(i)
-				if series.LBKeogh(env, s, lim) >= lim {
-					return
-				}
-				st.RawDistances++
-				if d := series.DTW(q, s, window, lim); d < lim {
-					best.Update(d, int64(mp(int32(ix.baseLen+i))))
-				}
-			})
-		}); err != nil {
-		return nil, ix.failQuery(err)
-	}
-	return stats, nil
 }

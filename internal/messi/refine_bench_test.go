@@ -6,7 +6,6 @@ import (
 
 	"dsidx/internal/core"
 	"dsidx/internal/gen"
-	"dsidx/internal/xsync"
 )
 
 // BenchmarkMESSIRefineLeaf isolates the refinement hot path: one pass over
@@ -49,15 +48,16 @@ func BenchmarkMESSIRefineLeaf(b *testing.B) {
 			lb := ix.getLB()
 			defer ix.putLB(lb)
 			stats := &QueryStats{}
-			best := xsync.NewBest()
+			sink := NewSink(Request{})
+			c := &query{ix: ix, q: q, table: sc.table, Sink: *sink, mp: identPos, f: qfilter{posLimit: math.MaxInt32}}
 			const loose = 1e18 // passes every bound; full distance on the first entry
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for _, leaf := range leaves {
-					best.Reset()
-					best.Update(loose, -1)
-					ix.refineLeafED(q, sc.table, leaf, best, stats, lb, identPos, qfilter{posLimit: math.MaxInt32})
+					sink.best.Reset()
+					sink.best.Update(loose, -1)
+					c.refineLeaf(leaf, stats, lb)
 				}
 			}
 			b.StopTimer()

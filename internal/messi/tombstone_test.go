@@ -10,6 +10,7 @@ import (
 
 	"dsidx/internal/core"
 	"dsidx/internal/gen"
+	"dsidx/internal/series"
 	"dsidx/internal/ucr"
 )
 
@@ -120,22 +121,25 @@ func TestExpireBeforeBoundary(t *testing.T) {
 	}
 }
 
+// searchWindow is a 1-NN query over the most recent n landed series.
+func searchWindow(ix *Index, q series.Series, n int) (core.Result, *QueryStats, error) {
+	rs, st, err := ix.Query(q, Request{LastN: n})
+	return core.First(rs), st, err
+}
+
 func TestSearchWindowBasics(t *testing.T) {
 	ix, g := buildTombIndex(t, 50, 20)
 	mirror := g.Collection(70)
 	q := g.PerturbedQueries(mirror, 1, 0.05).At(0)
 
-	if _, _, err := ix.SearchWindow(q, 0, 0); err == nil {
-		t.Error("window size 0 accepted")
-	}
-	if _, _, err := ix.SearchWindow(q, -3, 0); err == nil {
+	if _, _, err := ix.Query(q, Request{LastN: -3}); err == nil {
 		t.Error("negative window accepted")
 	}
 
 	check := func(state string) {
 		t.Helper()
 		for _, n := range []int{1, 7, 20, 35, 70, 1000} {
-			got, _, err := ix.SearchWindow(q, n, 0)
+			got, _, err := searchWindow(ix, q, n)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -146,7 +150,7 @@ func TestSearchWindowBasics(t *testing.T) {
 			}
 		}
 		// A window wider than everything landed degenerates to Search.
-		wide, _, err := ix.SearchWindow(q, 1000, 0)
+		wide, _, err := searchWindow(ix, q, 1000)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,7 +178,7 @@ func TestSearchWindowWithDeletes(t *testing.T) {
 	}
 	dead := func(p int) bool { return p >= 40 && p < 55 }
 	for _, n := range []int{5, 15, 25, 60} {
-		got, _, err := ix.SearchWindow(q, n, 0)
+		got, _, err := searchWindow(ix, q, n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,7 +190,7 @@ func TestSearchWindowWithDeletes(t *testing.T) {
 	}
 	// An all-deleted window answers NoResult rather than leaking a
 	// tombstoned or out-of-window series.
-	got, _, err := ix.SearchWindow(q, 5, 0)
+	got, _, err := searchWindow(ix, q, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +198,7 @@ func TestSearchWindowWithDeletes(t *testing.T) {
 		t.Fatalf("window over deleted suffix answered deleted series %d", got.Pos)
 	}
 	ix.Compact()
-	got2, _, err := ix.SearchWindow(q, 5, 0)
+	got2, _, err := searchWindow(ix, q, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"dsidx/internal/series"
 )
@@ -74,53 +73,6 @@ func TestTransformIntoMatchesTransform(t *testing.T) {
 		if buf[i] != want[i] {
 			t.Fatalf("TransformInto[%d] = %v, Transform = %v", i, buf[i], want[i])
 		}
-	}
-}
-
-func TestReconstructShape(t *testing.T) {
-	coeffs := []float64{1, -1}
-	s := Reconstruct(coeffs, 8)
-	if len(s) != 8 {
-		t.Fatalf("len = %d, want 8", len(s))
-	}
-	for i := 0; i < 4; i++ {
-		if s[i] != 1 {
-			t.Errorf("s[%d] = %v, want 1", i, s[i])
-		}
-	}
-	for i := 4; i < 8; i++ {
-		if s[i] != -1 {
-			t.Errorf("s[%d] = %v, want -1", i, s[i])
-		}
-	}
-}
-
-func TestLowerBoundProperty(t *testing.T) {
-	// (n/w)·ED²(PAA(a),PAA(b)) ≤ ED²(a,b): the foundation of pruning.
-	rng := rand.New(rand.NewSource(4))
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n, w := 256, 16
-		a, b := randomSeries(r, n), randomSeries(r, n)
-		lb := SquaredLowerBound(Transform(a, w), Transform(b, w), n)
-		return lb <= series.SquaredED(a, b)+1e-6
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500, Rand: rng}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestLowerBoundTightensWithResolution(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	n := 256
-	a, b := randomSeries(rng, n), randomSeries(rng, n)
-	prev := 0.0
-	for _, w := range []int{1, 2, 4, 8, 16, 32} {
-		lb := SquaredLowerBound(Transform(a, w), Transform(b, w), n)
-		if lb+1e-9 < prev {
-			t.Fatalf("lower bound decreased from %v to %v at w=%d", prev, lb, w)
-		}
-		prev = lb
 	}
 }
 

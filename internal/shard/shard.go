@@ -52,7 +52,6 @@ import (
 	"dsidx/internal/metrics"
 	"dsidx/internal/series"
 	"dsidx/internal/storage"
-	"dsidx/internal/xsync"
 )
 
 // MaxShards bounds the shard count: shard ids persist as one byte per
@@ -611,204 +610,103 @@ func (s *Sharded) scatter(tenant string, stats *messi.QueryStats, fn func(si int
 	return nil
 }
 
-// shardScope is shard si's slice of one scatter-gather query's scope: the
-// layer's own consistent per-shard append cut, with the caller's window
-// lower cut and tenant identity carried through. The caller-side AppendCut
-// is not forwarded — the cut vector is the only consistent cross-shard
-// prefix (per-shard counts are not interchangeable with a global count).
-func (s *Sharded) shardScope(scope messi.Scope, cuts []int32, si int) messi.Scope {
-	return messi.Scope{AppendCut: int(cuts[si]), LowPos: scope.LowPos, Tenant: scope.Tenant}
-}
-
-// Search answers an exact 1-NN query by scatter-gathering over every shard
-// with one shared best-so-far: the bound tightens globally as any shard
-// improves it, pruning the others mid-flight. The answer is bit-identical
-// to a serial scan of the observed global prefix.
-func (s *Sharded) Search(q series.Series, workers int) (core.Result, *messi.QueryStats, error) {
-	return s.SearchScoped(q, workers, messi.FullScope)
-}
-
-// SearchWindow answers an exact 1-NN query over the most recent n landed
-// series across all shards: the consistent cut vector captured at call time
-// pins the upper edge, and a global lower cut n positions back restricts
-// every shard to exactly the global suffix — the per-shard cut machinery
-// guarantees the window is a contiguous range of global positions no matter
-// how appends were routed.
-func (s *Sharded) SearchWindow(q series.Series, n, workers int) (core.Result, *messi.QueryStats, error) {
-	return s.SearchWindowTenant(q, n, workers, "")
-}
-
-// SearchWindowTenant is SearchWindow under a tenant identity. The lower
-// cut derives from the same view capture that pins the scatter's cut
-// vector, so the window is exactly the last min(n, observed) global
-// positions of one consistent prefix.
-func (s *Sharded) SearchWindowTenant(q series.Series, n, workers int, tenant string) (core.Result, *messi.QueryStats, error) {
-	if n <= 0 {
-		return core.NoResult(), nil, fmt.Errorf("shard: window size %d, want > 0", n)
-	}
-	if len(q) != s.seriesLen {
-		return core.NoResult(), nil, fmt.Errorf("shard: query length %d != %d", len(q), s.seriesLen)
-	}
-	cuts, observed := s.view()
-	scope := messi.Scope{AppendCut: -1, LowPos: int32(max(0, observed-n)), Tenant: tenant}
-	return s.searchAt(q, workers, scope, cuts, observed)
-}
-
-// SearchScoped is Search under an explicit scope: a window lower cut and a
-// tenant identity. The scope's AppendCut is ignored — the sharding layer
-// always pins its own consistent cross-shard cut.
-func (s *Sharded) SearchScoped(q series.Series, workers int, scope messi.Scope) (core.Result, *messi.QueryStats, error) {
-	if len(q) != s.seriesLen {
-		return core.NoResult(), nil, fmt.Errorf("shard: query length %d != %d", len(q), s.seriesLen)
-	}
-	cuts, observed := s.view()
-	return s.searchAt(q, workers, scope, cuts, observed)
-}
-
-// searchAt runs the 1-NN scatter against an already-captured consistent
-// view (cut vector + observed prefix length).
-func (s *Sharded) searchAt(q series.Series, workers int, scope messi.Scope, cuts []int32, observed int) (core.Result, *messi.QueryStats, error) {
-	stats := &messi.QueryStats{Observed: observed}
-	if observed == 0 {
-		return core.NoResult(), stats, nil
-	}
-	best := xsync.NewBest()
-	if err := s.scatter(scope.Tenant, stats, func(si int) (*messi.QueryStats, error) {
-		return s.shards[si].SearchShared(q, workers, best, s.mappers[si], s.shardScope(scope, cuts, si))
-	}); err != nil {
-		return core.NoResult(), nil, err
-	}
-	d, p := best.Load()
-	return core.Result{Pos: int32(p), Dist: d}, stats, nil
-}
-
-// SearchKNN answers an exact k-NN query with one shared k-best set across
-// all shards; its k-th-best threshold plays the global BSF role.
-func (s *Sharded) SearchKNN(q series.Series, k, workers int) ([]core.Result, *messi.QueryStats, error) {
-	return s.SearchKNNScoped(q, k, workers, messi.FullScope)
-}
-
-// SearchKNNScoped is SearchKNN under an explicit scope (window lower cut
-// and tenant); the scope's AppendCut is ignored in favor of the layer's own
-// consistent cut vector.
+// Query answers req by scattering it over every shard under one consistent
+// cut: the cut vector captured at call time pins each shard's append
+// prefix, so the query answers over exactly the global prefix it observed,
+// and a window's lower cut (req.LastN positions back from that prefix)
+// restricts every shard to exactly the global suffix, however appends were
+// routed. Exact kinds share one sink across shards, so a bound tightened by
+// any shard prunes the others mid-flight; the answer is bit-identical to a
+// serial scan of the observed slice. Approximate probes keep one sink per
+// shard, merged in shard order so ties go to the lowest shard index.
 //
 // Tombstone audit for the shared k-best set: a deleted position can never
 // re-enter the results through cross-shard deduplication. Every global
 // position is owned by exactly one shard (the mappers are disjoint by
 // construction — base positions partition via baseMap, appended positions
-// via the route log), so the only goroutines that can Offer a position run
-// inside its owner's SearchKNNShared, after that shard's tombstone filter
-// (qfilter.skip) consulted the delete state captured at query start. KBest
-// dedup only drops re-offers of a position already present; it never
-// revives one that was filtered, and no other shard can offer it.
+// via the route log), so the only goroutines that can offer a position run
+// inside its owner's QueryShared, after that shard's tombstone filter
+// consulted the delete state captured at query start. KBest dedup only
+// drops re-offers of a position already present; it never revives one that
+// was filtered, and no other shard can offer it.
 // TestDeletedNearestNeverInKNN pins this across shard counts, placements
 // and compaction states.
-func (s *Sharded) SearchKNNScoped(q series.Series, k, workers int, scope messi.Scope) ([]core.Result, *messi.QueryStats, error) {
-	if len(q) != s.seriesLen {
-		return nil, nil, fmt.Errorf("shard: query length %d != %d", len(q), s.seriesLen)
-	}
-	if k <= 0 {
-		return nil, &messi.QueryStats{}, nil
+func (s *Sharded) Query(q series.Series, req messi.Request) ([]core.Result, *messi.QueryStats, error) {
+	if err := req.Validate(q, s.seriesLen); err != nil {
+		return nil, nil, err
 	}
 	cuts, observed := s.view()
 	stats := &messi.QueryStats{Observed: observed}
 	if observed == 0 {
 		return nil, stats, nil
 	}
-	kb := xsync.NewKBest(k)
-	if err := s.scatter(scope.Tenant, stats, func(si int) (*messi.QueryStats, error) {
-		return s.shards[si].SearchKNNShared(q, k, workers, kb, s.mappers[si], s.shardScope(scope, cuts, si))
+	var low int32
+	if req.LastN > 0 {
+		low = int32(max(0, observed-req.LastN))
+	}
+	sink := messi.NewSink(req)
+	var per []*messi.Sink // Approx: each successful shard's own sink
+	if req.Kind == messi.Approx {
+		per = make([]*messi.Sink, s.n)
+	}
+	if err := s.scatter(req.Tenant, stats, func(si int) (*messi.QueryStats, error) {
+		sk := sink
+		if per != nil {
+			sk = messi.NewSink(req)
+		}
+		st, err := s.shards[si].QueryShared(q, req, messi.Scope{AppendCut: int(cuts[si]), LowPos: low}, sk, s.mappers[si])
+		if per != nil && err == nil {
+			per[si] = sk
+		}
+		return st, err
 	}); err != nil {
 		return nil, nil, err
 	}
-	out := make([]core.Result, 0, k)
-	for _, e := range kb.Sorted() {
-		out = append(out, core.Result{Pos: e.Pos, Dist: e.Dist})
+	if per == nil {
+		return sink.Results(), stats, nil
 	}
-	return out, stats, nil
+	var best []core.Result
+	for _, sk := range per {
+		if sk == nil {
+			continue
+		}
+		if r := sk.Results(); len(r) > 0 && (best == nil || r[0].Dist < best[0].Dist) {
+			best = r
+		}
+	}
+	return best, stats, nil
+}
+
+// Search answers an exact 1-NN query; see Query.
+func (s *Sharded) Search(q series.Series, workers int) (core.Result, *messi.QueryStats, error) {
+	rs, st, err := s.Query(q, messi.Request{Workers: workers})
+	return core.First(rs), st, err
+}
+
+// SearchKNN answers an exact k-NN query with one shared k-best set across
+// all shards; k ≤ 0 answers nothing.
+func (s *Sharded) SearchKNN(q series.Series, k, workers int) ([]core.Result, *messi.QueryStats, error) {
+	if k <= 0 {
+		return nil, &messi.QueryStats{}, nil
+	}
+	return s.Query(q, messi.Request{Kind: messi.KNN, K: k, Workers: workers})
 }
 
 // SearchDTW answers an exact 1-NN DTW query (Sakoe-Chiba half-width
 // window) with the shared best-so-far threaded through every shard's
 // LB_Keogh cascade.
 func (s *Sharded) SearchDTW(q series.Series, window, workers int) (core.Result, *messi.QueryStats, error) {
-	return s.SearchDTWScoped(q, window, workers, messi.FullScope)
-}
-
-// SearchDTWScoped is SearchDTW under an explicit scope (window lower cut
-// and tenant); the scope's AppendCut is ignored in favor of the layer's own
-// consistent cut vector.
-func (s *Sharded) SearchDTWScoped(q series.Series, window, workers int, scope messi.Scope) (core.Result, *messi.QueryStats, error) {
-	if len(q) != s.seriesLen {
-		return core.NoResult(), nil, fmt.Errorf("shard: query length %d != %d", len(q), s.seriesLen)
-	}
-	cuts, observed := s.view()
-	stats := &messi.QueryStats{Observed: observed}
-	if observed == 0 {
-		return core.NoResult(), stats, nil
-	}
-	best := xsync.NewBest()
-	if err := s.scatter(scope.Tenant, stats, func(si int) (*messi.QueryStats, error) {
-		return s.shards[si].SearchDTWShared(q, window, workers, best, s.mappers[si], s.shardScope(scope, cuts, si))
-	}); err != nil {
-		return core.NoResult(), nil, err
-	}
-	d, p := best.Load()
-	return core.Result{Pos: int32(p), Dist: d}, stats, nil
+	rs, st, err := s.Query(q, messi.Request{Kind: messi.DTW, Band: window, Workers: workers})
+	return core.First(rs), st, err
 }
 
 // SearchApproximate returns the best answer among every shard's
-// approximate probe — still microseconds (the probes are sequential leaf
-// reads), still an upper bound on the exact answer. Shards are probed
-// under one consistent cut, so the reported global position always lies
-// inside the prefix this call observed, even mid-append.
+// approximate probe — still microseconds, still an upper bound on the
+// exact answer, and always a position inside the prefix this call
+// observed, even mid-append.
 func (s *Sharded) SearchApproximate(q series.Series) (core.Result, error) {
-	return s.SearchApproximateScoped(q, messi.FullScope)
-}
-
-// SearchApproximateScoped is SearchApproximate under an explicit scope
-// (window lower cut and tenant); the scope's AppendCut is ignored in favor
-// of the layer's own consistent cut vector.
-func (s *Sharded) SearchApproximateScoped(q series.Series, scope messi.Scope) (core.Result, error) {
-	if len(q) != s.seriesLen {
-		return core.NoResult(), fmt.Errorf("shard: query length %d != %d", len(q), s.seriesLen)
-	}
-	cuts, observed := s.view()
-	if observed == 0 {
-		return core.NoResult(), nil
-	}
-	s.eng.CountQueryTenant(scope.Tenant)
-	best := core.NoResult()
-	var skippedIDs, failedIDs []int
-	var cause error
-	for si, sh := range s.shards {
-		if !s.available(si) {
-			skippedIDs = append(skippedIDs, si)
-			continue
-		}
-		r, err := sh.SearchApproximateShared(q, s.mappers[si], s.shardScope(scope, cuts, si))
-		if err != nil {
-			if !s.noteShardError(si, err) {
-				return core.NoResult(), err
-			}
-			failedIDs = append(failedIDs, si)
-			if cause == nil {
-				cause = err
-			}
-			continue
-		}
-		s.noteShardSuccess(si)
-		if r.Pos >= 0 && r.Dist < best.Dist {
-			best = r
-		}
-	}
-	if miss := uncovered(skippedIDs, failedIDs); len(miss) > 0 && !s.opt.AllowPartial {
-		if cause == nil && len(skippedIDs) > 0 {
-			cause = s.health[skippedIDs[0]].getErr()
-		}
-		return core.NoResult(), &ErrShardsUnavailable{Shards: miss, Cause: cause}
-	}
-	return best, nil
+	rs, _, err := s.Query(q, messi.Request{Kind: messi.Approx})
+	return core.First(rs), err
 }
 
 // BatchSearchStats answers many exact 1-NN queries concurrently under the

@@ -422,6 +422,36 @@ func TestShardedEmptyAndErrorPaths(t *testing.T) {
 	}
 }
 
+// TestMoreShardsThanSeries: every series lands in exactly one shard at any
+// shard count, including more shards than series (some shards then hold
+// nothing), and every kind still answers exactly.
+func TestMoreShardsThanSeries(t *testing.T) {
+	g := gen.Generator{Kind: gen.Synthetic, Length: testLen, Seed: 83}
+	for _, n := range []int{3, 40} {
+		coll := g.Collection(n)
+		for _, shards := range []int{1, 3, 8} {
+			s := buildSharded(t, coll, shards, RoundRobin{})
+			total := 0
+			for si := 0; si < s.Shards(); si++ {
+				total += s.Shard(si).Count()
+			}
+			if total != n {
+				t.Fatalf("n=%d shards=%d: shards hold %d series", n, shards, total)
+			}
+			q := coll.At(n - 1)
+			for _, req := range []messi.Request{{}, {Kind: messi.KNN, K: 2}, {Kind: messi.DTW, Band: 2}, {Kind: messi.Approx}} {
+				got, _, err := s.Query(q, req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) == 0 || got[0].Pos != int32(n-1) || got[0].Dist != 0 {
+					t.Fatalf("n=%d shards=%d kind %d: self-query answered %+v", n, shards, req.Kind, got)
+				}
+			}
+		}
+	}
+}
+
 func TestShardedApproximateUpperBounds(t *testing.T) {
 	g := gen.Generator{Kind: gen.Synthetic, Length: testLen, Seed: 71}
 	coll := g.Collection(1200)

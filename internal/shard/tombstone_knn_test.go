@@ -1,7 +1,7 @@
 package shard
 
 // Regression suite for the tombstone/k-NN interaction audited on
-// SearchKNNScoped: deleting a query's nearest neighbors must remove them
+// Sharded.Query: deleting a query's nearest neighbors must remove them
 // from every k-NN answer — never letting one re-enter through the shared
 // cross-shard k-best set — at every shard count, hot and cold placements,
 // and in every compaction state (tombstone-filtered, flushed, compacted).

@@ -116,8 +116,8 @@ func (f *SeriesFile) Append(coll *series.Collection) error {
 // One contiguous device read, so the coordinator's sequential scan is
 // charged sequential (not random) device time.
 func (f *SeriesFile) ReadBatch(start, count int64) (*series.Collection, error) {
-	buf, err := f.ReadBatchBytes(start, count)
-	if err != nil {
+	buf := make([]byte, count*int64(f.length)*4)
+	if err := f.ReadBatchBytesInto(buf, start); err != nil {
 		return nil, err
 	}
 	values := make([]float32, count*int64(f.length))
@@ -125,20 +125,11 @@ func (f *SeriesFile) ReadBatch(start, count int64) (*series.Collection, error) {
 	return series.CollectionFromValues(values, f.length)
 }
 
-// ReadBatchBytes reads count series starting at start as raw little-endian
-// bytes, leaving decoding to the caller. The ParIS coordinator uses this so
-// that its stage-1 thread only moves bytes (as in the paper) and the CPU
-// cost of decoding lands on the parallel bulk-loading workers.
-func (f *SeriesFile) ReadBatchBytes(start, count int64) ([]byte, error) {
-	buf := make([]byte, count*int64(f.length)*4)
-	if err := f.ReadBatchBytesInto(buf, start); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
 // ReadBatchBytesInto reads len(buf)/(4·length) series starting at start
-// into a caller-provided buffer (enabling buffer pooling in hot pipelines).
+// as raw little-endian bytes into a caller-provided buffer, leaving decoding
+// to the caller. The ParIS coordinator uses it with pooled buffers, so its
+// stage-1 thread only moves bytes (as in the paper) and the CPU cost of
+// decoding lands on the parallel bulk-loading workers.
 func (f *SeriesFile) ReadBatchBytesInto(buf []byte, start int64) error {
 	count := int64(len(buf)) / (int64(f.length) * 4)
 	// start > f.count-count, not start+count > f.count: the subtraction form

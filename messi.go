@@ -3,6 +3,7 @@ package dsidx
 import (
 	"context"
 
+	"dsidx/internal/core"
 	"dsidx/internal/engine"
 	"dsidx/internal/messi"
 )
@@ -49,11 +50,15 @@ func NewMESSI(coll *Collection, opts ...Option) (*MESSI, error) {
 // correctly, executing serially on the calling goroutine.
 func (ix *MESSI) Close() { ix.inner.Close() }
 
-// Search returns the exact nearest neighbor of q under Euclidean distance.
-func (ix *MESSI) Search(q Series) (Match, error) {
-	r, _, err := ix.inner.Search(q, 0)
-	return matchOf(r), err
-}
+// Query answers one request — any QueryKind, under the request's tenant —
+// through the same conversion Serve uses. Matches is empty when nothing
+// visible matches (an empty or fully deleted index, or a window holding
+// only deleted series); a malformed request sets Err.
+func (ix *MESSI) Query(req QueryRequest) QueryResponse { return answer(ix, req) }
+
+// Search returns the exact nearest neighbor of q under Euclidean distance,
+// or the sentinel Match{Pos: -1, Distance: +Inf} when nothing is visible.
+func (ix *MESSI) Search(q Series) (Match, error) { return single(ix.Query(QueryRequest{Query: q})) }
 
 // SearchWithWorkers is Search with an explicit worker count (for scaling
 // studies).
@@ -73,16 +78,14 @@ func (ix *MESSI) SearchKNN(q Series, k int) ([]Match, error) {
 // warping with a Sakoe-Chiba band of half-width window, answered on the
 // same index with no rebuild (paper §V).
 func (ix *MESSI) SearchDTW(q Series, window int) (Match, error) {
-	r, _, err := ix.inner.SearchDTW(q, window, 0)
-	return matchOf(r), err
+	return single(ix.Query(QueryRequest{Query: q, Kind: QueryDTW, Window: window}))
 }
 
 // SearchApproximate returns the classic iSAX approximate answer: the best
-// series of the single leaf matching the query's summary, in microseconds.
-// Its distance is an upper bound on the exact answer's distance.
+// series of the leaves matching the query's summary, in microseconds. Its
+// distance is an upper bound on the exact answer's distance.
 func (ix *MESSI) SearchApproximate(q Series) (Match, error) {
-	r, err := ix.inner.SearchApproximate(q)
-	return matchOf(r), err
+	return single(ix.Query(QueryRequest{Query: q, Kind: QueryApprox}))
 }
 
 // SearchWindow returns the exact nearest neighbor of q among the most
@@ -91,41 +94,7 @@ func (ix *MESSI) SearchApproximate(q Series) (Match, error) {
 // invisible, deleted series are skipped, and a window wider than everything
 // landed degenerates to Search.
 func (ix *MESSI) SearchWindow(q Series, n int) (Match, error) {
-	r, _, err := ix.inner.SearchWindow(q, n, 0)
-	return matchOf(r), err
-}
-
-// SearchTenant is Search under an opaque tenant ID: the query is accounted
-// to the tenant, and under multi-tenant load its worker share is the
-// tenant's slice of the pool rather than the whole of it. Tenant "" is
-// exactly Search.
-func (ix *MESSI) SearchTenant(q Series, tenant string) (Match, error) {
-	r, _, err := ix.inner.SearchScoped(q, 0, messi.Scope{AppendCut: -1, Tenant: tenant})
-	return matchOf(r), err
-}
-
-// SearchKNNTenant is SearchKNN under an opaque tenant ID.
-func (ix *MESSI) SearchKNNTenant(q Series, k int, tenant string) ([]Match, error) {
-	rs, _, err := ix.inner.SearchKNNScoped(q, k, 0, messi.Scope{AppendCut: -1, Tenant: tenant})
-	return matchesOf(rs), err
-}
-
-// SearchDTWTenant is SearchDTW under an opaque tenant ID.
-func (ix *MESSI) SearchDTWTenant(q Series, window int, tenant string) (Match, error) {
-	r, _, err := ix.inner.SearchDTWScoped(q, window, 0, messi.Scope{AppendCut: -1, Tenant: tenant})
-	return matchOf(r), err
-}
-
-// SearchApproximateTenant is SearchApproximate under an opaque tenant ID.
-func (ix *MESSI) SearchApproximateTenant(q Series, tenant string) (Match, error) {
-	r, err := ix.inner.SearchApproximateScoped(q, messi.Scope{AppendCut: -1, Tenant: tenant})
-	return matchOf(r), err
-}
-
-// SearchWindowTenant is SearchWindow under an opaque tenant ID.
-func (ix *MESSI) SearchWindowTenant(q Series, n int, tenant string) (Match, error) {
-	r, _, err := ix.inner.SearchWindowTenant(q, n, 0, tenant)
-	return matchOf(r), err
+	return single(ix.Query(QueryRequest{Query: q, Kind: QueryWindowNN, LastN: n}))
 }
 
 // Stats returns the index tree shape.
@@ -441,7 +410,12 @@ func (ix *MESSI) Serve(ctx context.Context, in <-chan QueryRequest) <-chan Query
 	return serve(ctx, in, ix)
 }
 
-// admitContext and maxInFlight adapt the index to the shared serving loop.
+// query, admitContext and maxInFlight adapt the index to Query and the
+// shared serving loop.
+func (ix *MESSI) query(q Series, r messi.Request) ([]core.Result, error) {
+	rs, _, err := ix.inner.Query(q, r)
+	return rs, err
+}
 func (ix *MESSI) admitContext(ctx context.Context, tenant string) (func(), error) {
 	return ix.inner.AdmitTenantContext(ctx, tenant)
 }

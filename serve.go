@@ -4,6 +4,9 @@ import (
 	"context"
 	"fmt"
 	"sync"
+
+	"dsidx/internal/core"
+	"dsidx/internal/messi"
 )
 
 // Index persistence and serving share one request/response protocol across
@@ -53,22 +56,18 @@ type QueryRequest struct {
 type QueryResponse struct {
 	// ID echoes the request's ID.
 	ID int64
-	// Matches holds the answer: one match for QueryNN/QueryDTW/QueryApprox,
-	// up to K for QueryKNN.
+	// Matches holds the answer in ascending distance order: one match for
+	// QueryNN/QueryDTW/QueryApprox/QueryWindowNN, up to K for QueryKNN, and
+	// none when nothing visible matches or Err is set.
 	Matches []Match
 	// Err reports a per-query failure (e.g. wrong query length).
 	Err error
 }
 
-// queryBackend is the method set the serving loop multiplexes over,
-// implemented by MESSI and Sharded. The tenant-suffixed variants carry the
-// request's tenant ID; "" degrades each to its untenanted sibling.
+// queryBackend is the method set Query and the serving loop multiplex
+// over, implemented by MESSI and Sharded.
 type queryBackend interface {
-	SearchTenant(q Series, tenant string) (Match, error)
-	SearchKNNTenant(q Series, k int, tenant string) ([]Match, error)
-	SearchDTWTenant(q Series, window int, tenant string) (Match, error)
-	SearchApproximateTenant(q Series, tenant string) (Match, error)
-	SearchWindowTenant(q Series, n int, tenant string) (Match, error)
+	query(q Series, r messi.Request) ([]core.Result, error)
 	admitContext(ctx context.Context, tenant string) (func(), error)
 	maxInFlight() int
 }
@@ -133,20 +132,14 @@ func serve(ctx context.Context, in <-chan QueryRequest, ix queryBackend) <-chan 
 	return out
 }
 
-// singleMatch fills a one-match response, leaving Matches empty on error so
-// failed responses never carry a plausible-looking sentinel answer.
-func (r *QueryResponse) singleMatch(m Match, err error) {
-	if err != nil {
-		r.Err = err
-		return
-	}
-	r.Matches = []Match{m}
-}
-
-// answer dispatches one request to the matching search method.
+// answer is the single conversion from a public QueryRequest to the
+// engine's messi.Request, and runs it. A failed or empty answer leaves
+// Matches empty: responses never carry a sentinel answer.
 func answer(ix queryBackend, req QueryRequest) QueryResponse {
 	resp := QueryResponse{ID: req.ID}
+	r := messi.Request{Tenant: req.Tenant}
 	switch req.Kind {
+	case QueryNN:
 	case QueryKNN:
 		if req.K <= 0 {
 			// Surface the malformed request instead of a silent empty
@@ -154,23 +147,36 @@ func answer(ix queryBackend, req QueryRequest) QueryResponse {
 			resp.Err = fmt.Errorf("dsidx: QueryKNN request %d needs K > 0, got %d", req.ID, req.K)
 			return resp
 		}
-		ms, err := ix.SearchKNNTenant(req.Query, req.K, req.Tenant)
-		resp.Matches, resp.Err = ms, err
+		r.Kind, r.K = messi.KNN, req.K
 	case QueryDTW:
-		m, err := ix.SearchDTWTenant(req.Query, req.Window, req.Tenant)
-		resp.singleMatch(m, err)
+		r.Kind, r.Band = messi.DTW, req.Window
 	case QueryApprox:
-		m, err := ix.SearchApproximateTenant(req.Query, req.Tenant)
-		resp.singleMatch(m, err)
+		r.Kind = messi.Approx
 	case QueryWindowNN:
-		m, err := ix.SearchWindowTenant(req.Query, req.LastN, req.Tenant)
-		resp.singleMatch(m, err)
-	case QueryNN:
-		m, err := ix.SearchTenant(req.Query, req.Tenant)
-		resp.singleMatch(m, err)
+		if req.LastN <= 0 {
+			resp.Err = fmt.Errorf("dsidx: QueryWindowNN request %d needs LastN > 0, got %d", req.ID, req.LastN)
+			return resp
+		}
+		r.LastN = req.LastN
 	default:
 		// An unrecognized kind must not silently run some other search.
 		resp.Err = fmt.Errorf("dsidx: request %d has unknown QueryKind %d", req.ID, req.Kind)
+		return resp
 	}
+	rs, err := ix.query(req.Query, r)
+	if err != nil {
+		resp.Err = err
+		return resp
+	}
+	resp.Matches = matchesOf(rs)
 	return resp
+}
+
+// single unwraps a one-match response for the direct Search wrappers, which
+// answer "nothing visible" with the sentinel Match{Pos: -1, Distance: +Inf}.
+func single(resp QueryResponse) (Match, error) {
+	if len(resp.Matches) == 0 {
+		return matchOf(core.NoResult()), resp.Err
+	}
+	return resp.Matches[0], resp.Err
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"dsidx/internal/core"
 	"dsidx/internal/messi"
 	"dsidx/internal/shard"
 )
@@ -174,12 +175,16 @@ func (s *Sharded) Stats() IndexStats {
 	return out
 }
 
+// Query answers one request — any QueryKind, under the request's tenant —
+// scatter-gathered over every shard under one consistent cut, through the
+// same conversion Serve uses. Matches is empty when nothing visible
+// matches; a malformed request sets Err.
+func (s *Sharded) Query(req QueryRequest) QueryResponse { return answer(s, req) }
+
 // Search returns the exact nearest neighbor of q under Euclidean distance,
-// scatter-gathered over every shard with one shared best-so-far.
-func (s *Sharded) Search(q Series) (Match, error) {
-	r, _, err := s.inner.Search(q, 0)
-	return matchOf(r), err
-}
+// scatter-gathered over every shard with one shared best-so-far, or the
+// sentinel Match{Pos: -1, Distance: +Inf} when nothing is visible.
+func (s *Sharded) Search(q Series) (Match, error) { return single(s.Query(QueryRequest{Query: q})) }
 
 // SearchWithWorkers is Search with an explicit per-shard worker count (for
 // scaling studies).
@@ -198,16 +203,14 @@ func (s *Sharded) SearchKNN(q Series, k int) ([]Match, error) {
 // SearchDTW returns the exact nearest neighbor of q under dynamic time
 // warping with a Sakoe-Chiba band of half-width window.
 func (s *Sharded) SearchDTW(q Series, window int) (Match, error) {
-	r, _, err := s.inner.SearchDTW(q, window, 0)
-	return matchOf(r), err
+	return single(s.Query(QueryRequest{Query: q, Kind: QueryDTW, Window: window}))
 }
 
 // SearchApproximate returns the best answer among every shard's
 // approximate probe, still in microseconds; its distance upper-bounds the
 // exact answer's.
 func (s *Sharded) SearchApproximate(q Series) (Match, error) {
-	r, err := s.inner.SearchApproximate(q)
-	return matchOf(r), err
+	return single(s.Query(QueryRequest{Query: q, Kind: QueryApprox}))
 }
 
 // SearchWindow returns the exact nearest neighbor of q among the most
@@ -215,39 +218,7 @@ func (s *Sharded) SearchApproximate(q Series) (Match, error) {
 // global suffix captured at call time, regardless of how appends were
 // routed, minus deleted series.
 func (s *Sharded) SearchWindow(q Series, n int) (Match, error) {
-	r, _, err := s.inner.SearchWindow(q, n, 0)
-	return matchOf(r), err
-}
-
-// SearchTenant is Search under an opaque tenant ID (see MESSI.SearchTenant;
-// the fairness machinery is the shared pool's, so it spans all shards).
-func (s *Sharded) SearchTenant(q Series, tenant string) (Match, error) {
-	r, _, err := s.inner.SearchScoped(q, 0, messi.Scope{AppendCut: -1, Tenant: tenant})
-	return matchOf(r), err
-}
-
-// SearchKNNTenant is SearchKNN under an opaque tenant ID.
-func (s *Sharded) SearchKNNTenant(q Series, k int, tenant string) ([]Match, error) {
-	rs, _, err := s.inner.SearchKNNScoped(q, k, 0, messi.Scope{AppendCut: -1, Tenant: tenant})
-	return matchesOf(rs), err
-}
-
-// SearchDTWTenant is SearchDTW under an opaque tenant ID.
-func (s *Sharded) SearchDTWTenant(q Series, window int, tenant string) (Match, error) {
-	r, _, err := s.inner.SearchDTWScoped(q, window, 0, messi.Scope{AppendCut: -1, Tenant: tenant})
-	return matchOf(r), err
-}
-
-// SearchApproximateTenant is SearchApproximate under an opaque tenant ID.
-func (s *Sharded) SearchApproximateTenant(q Series, tenant string) (Match, error) {
-	r, err := s.inner.SearchApproximateScoped(q, messi.Scope{AppendCut: -1, Tenant: tenant})
-	return matchOf(r), err
-}
-
-// SearchWindowTenant is SearchWindow under an opaque tenant ID.
-func (s *Sharded) SearchWindowTenant(q Series, n int, tenant string) (Match, error) {
-	r, _, err := s.inner.SearchWindowTenant(q, n, 0, tenant)
-	return matchOf(r), err
+	return single(s.Query(QueryRequest{Query: q, Kind: QueryWindowNN, LastN: n}))
 }
 
 // BatchSearch answers one exact 1-NN query per element of qs concurrently
@@ -408,6 +379,10 @@ func (s *Sharded) Serve(ctx context.Context, in <-chan QueryRequest) <-chan Quer
 	return serve(ctx, in, s)
 }
 
+func (s *Sharded) query(q Series, r messi.Request) ([]core.Result, error) {
+	rs, _, err := s.inner.Query(q, r)
+	return rs, err
+}
 func (s *Sharded) admitContext(ctx context.Context, tenant string) (func(), error) {
 	return s.inner.AdmitTenantContext(ctx, tenant)
 }

@@ -29,11 +29,7 @@ type deleteWindowTenantBackend interface {
 	Search(q dsidx.Series) (dsidx.Match, error)
 	SearchWithWorkers(q dsidx.Series, workers int) (dsidx.Match, error)
 	SearchWindow(q dsidx.Series, n int) (dsidx.Match, error)
-	SearchTenant(q dsidx.Series, tenant string) (dsidx.Match, error)
-	SearchKNNTenant(q dsidx.Series, k int, tenant string) ([]dsidx.Match, error)
-	SearchDTWTenant(q dsidx.Series, window int, tenant string) (dsidx.Match, error)
-	SearchApproximateTenant(q dsidx.Series, tenant string) (dsidx.Match, error)
-	SearchWindowTenant(q dsidx.Series, n int, tenant string) (dsidx.Match, error)
+	Query(req dsidx.QueryRequest) dsidx.QueryResponse
 	TenantStats() []dsidx.TenantStats
 	Serve(ctx context.Context, in <-chan dsidx.QueryRequest) <-chan dsidx.QueryResponse
 }
@@ -131,34 +127,37 @@ func checkDeleteWindowTenantAPI(t *testing.T, idx deleteWindowTenantBackend, col
 		t.Fatalf("window 1 answered %d, want last live %d", last.Pos, base+1)
 	}
 
-	// Tenant variants answer identically to their untenanted siblings and
+	// Tenanted requests answer identically to their untenanted siblings and
 	// show up in TenantStats under their ID.
-	tm, err := idx.SearchTenant(q, "alpha")
-	if err != nil || tm != full {
-		t.Fatalf("SearchTenant %+v, %v; want %+v", tm, err, full)
+	tenanted := func(req dsidx.QueryRequest) []dsidx.Match {
+		t.Helper()
+		req.Query, req.Tenant = q, "alpha"
+		resp := idx.Query(req)
+		if resp.Err != nil {
+			t.Fatalf("tenanted %v request: %v", req.Kind, resp.Err)
+		}
+		return resp.Matches
 	}
-	kms, err := idx.SearchKNNTenant(q, 3, "alpha")
-	if err != nil || len(kms) != 3 || kms[0] != full {
-		t.Fatalf("SearchKNNTenant %+v, %v", kms, err)
+	if tm := tenanted(dsidx.QueryRequest{}); len(tm) != 1 || tm[0] != full {
+		t.Fatalf("tenanted NN %+v; want %+v", tm, full)
+	}
+	kms := tenanted(dsidx.QueryRequest{Kind: dsidx.QueryKNN, K: 3})
+	if len(kms) != 3 || kms[0] != full {
+		t.Fatalf("tenanted k-NN %+v", kms)
 	}
 	for _, km := range kms {
 		if km.Pos >= lo && km.Pos < hi {
 			t.Fatalf("k-NN returned deleted position %d", km.Pos)
 		}
 	}
-	if _, err := idx.SearchDTWTenant(q, 4, "alpha"); err != nil {
-		t.Fatal(err)
+	tenanted(dsidx.QueryRequest{Kind: dsidx.QueryDTW, Window: 4})
+	for _, am := range tenanted(dsidx.QueryRequest{Kind: dsidx.QueryApprox}) {
+		if am.Pos >= lo && am.Pos < hi {
+			t.Fatalf("approximate returned deleted position %d", am.Pos)
+		}
 	}
-	am, err := idx.SearchApproximateTenant(q, "alpha")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if am.Pos >= lo && am.Pos < hi {
-		t.Fatalf("approximate returned deleted position %d", am.Pos)
-	}
-	wm, err := idx.SearchWindowTenant(q, 10*idx.Len(), "alpha")
-	if err != nil || wm != full {
-		t.Fatalf("SearchWindowTenant %+v, %v; want %+v", wm, err, full)
+	if wm := tenanted(dsidx.QueryRequest{Kind: dsidx.QueryWindowNN, LastN: 10 * idx.Len()}); len(wm) != 1 || wm[0] != full {
+		t.Fatalf("tenanted window %+v; want %+v", wm, full)
 	}
 	ts := idx.TenantStats()
 	if len(ts) != 1 || ts[0].Tenant != "alpha" || ts[0].Queries != 5 {
