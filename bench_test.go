@@ -217,7 +217,7 @@ func BenchmarkMESSIBatchSearch(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ix.BatchSearch(qs); err != nil {
+		if _, _, err := ix.BatchSearchStats(qs); err != nil {
 			b.Fatal(err)
 		}
 	}

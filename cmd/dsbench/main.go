@@ -267,7 +267,7 @@ func main() {
 // plus required-family validation of what came back.
 func metricsSelfCheck(n int) error {
 	coll := dsidx.Generate(dsidx.Synthetic, n, 64, 2020)
-	idx, err := dsidx.NewSharded(coll,
+	idx, err := dsidx.NewMESSI(coll,
 		dsidx.WithShards(2), dsidx.WithAutoTune(true), dsidx.WithMergeThreshold(256))
 	if err != nil {
 		return err

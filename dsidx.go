@@ -71,18 +71,19 @@
 //
 // # Sharding
 //
-// NewSharded partitions the collection across N independent MESSI shards
-// (WithShards, WithShardPolicy) that answer as one index: queries scatter
-// to every shard with a single shared best-so-far — a tight bound found on
-// one shard prunes the others mid-flight — and gather answers in the
-// collection's global position space, so results are identical to the
-// unsharded index. All shards share one worker pool and one admission
-// budget; appends route by policy and publish one consistent cross-shard
-// cut. Sharded indexes persist as a DSS1 manifest over the per-shard files
-// (Save / OpenSharded); plain MESSI files open as a 1-shard instance.
+// WithShards partitions the collection across N independent MESSI trees
+// (WithShardPolicy picks the routing; the default is one shard) that
+// answer as one index: queries scatter to every shard with a single shared
+// best-so-far — a tight bound found on one shard prunes the others
+// mid-flight — and gather answers in the collection's global position
+// space, so results are identical at any shard count. All shards share one
+// worker pool and one admission budget; appends route by policy and
+// publish one consistent cross-shard cut. Every index persists as a DSS1
+// manifest over the per-shard encodings (Save / LoadMESSI); single-index
+// files written before the manifest existed load as a 1-shard index.
 //
-//	s, err := dsidx.NewSharded(coll, dsidx.WithShards(4))
-//	m, err := s.Search(q)            // same answer as the unsharded index
+//	idx, err := dsidx.NewMESSI(coll, dsidx.WithShards(4))
+//	m, err := idx.Search(q)          // same answer as with one shard
 //
 // All distances returned through this package are true (not squared)
 // distances. Search, SearchKNN and SearchDTW are exact: they return
@@ -168,7 +169,7 @@ func GenerateQueries(kind DatasetKind, n, length int, seed int64) *Collection {
 // noise eps to random members of coll. Perturbed queries have a nearby
 // nearest neighbor, reproducing on small collections the pruning regime
 // that dense, very large collections exhibit naturally — use them for
-// benchmark workloads (see DESIGN.md).
+// benchmark workloads.
 func GeneratePerturbedQueries(coll *Collection, n int, eps float64, seed int64) *Collection {
 	return gen.Generator{Seed: seed}.PerturbedQueries(coll, n, eps)
 }

@@ -2,6 +2,7 @@ package dsidx_test
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"path/filepath"
 	"testing"
@@ -34,55 +35,119 @@ func TestGenerateDefaultLengths(t *testing.T) {
 	}
 }
 
+// TestMESSIPublicAPI checks every search flavor against the serial scan
+// at one and at several shards, and that sharding changes no answer: the
+// 3-shard index answers bit-identically to the 1-shard one.
 func TestMESSIPublicAPI(t *testing.T) {
 	coll := dsidx.Generate(dsidx.Synthetic, 2000, 256, 9)
-	idx, err := dsidx.NewMESSI(coll, dsidx.WithLeafCapacity(64), dsidx.WithWorkers(8))
+	queries := dsidx.GenerateQueries(dsidx.Synthetic, 5, 256, 9)
+	var ref []dsidx.Match // the 1-shard index's answers, in check order
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			idx, err := dsidx.NewMESSI(coll, dsidx.WithShards(shards), dsidx.WithLeafCapacity(64), dsidx.WithWorkers(8))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer idx.Close()
+			if idx.Len() != 2000 || idx.Shards() != shards {
+				t.Fatalf("Len = %d, Shards = %d", idx.Len(), idx.Shards())
+			}
+			st := idx.Stats()
+			if st.Series != 2000 || st.Leaves == 0 {
+				t.Fatalf("stats %+v", st)
+			}
+			var got []dsidx.Match
+			for qi := 0; qi < queries.Len(); qi++ {
+				got = append(got, checkPublicQuery(t, idx, coll, queries.At(qi))...)
+			}
+			if ref == nil {
+				ref = got
+			}
+			for i := range ref {
+				if got[i] != ref[i] {
+					t.Fatalf("answer %d: %+v at %d shards, %+v at 1", i, got[i], shards, ref[i])
+				}
+			}
+
+			qs := make([]dsidx.Series, queries.Len())
+			for i := range qs {
+				qs[i] = queries.At(i)
+			}
+			ms, stats, err := idx.BatchSearchStats(qs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range qs {
+				if want, _ := idx.Search(qs[i]); ms[i] != want {
+					t.Fatalf("batch %d: %+v != %+v", i, ms[i], want)
+				}
+				if stats[i].Observed != coll.Len() {
+					t.Fatalf("batch %d observed %d", i, stats[i].Observed)
+				}
+			}
+			if am, err := idx.SearchApproximate(qs[0]); err != nil || am.Pos < 0 {
+				t.Fatalf("approximate: %+v, %v", am, err)
+			}
+			if est := idx.EngineStats(); est.Tasks == 0 {
+				t.Error("queries executed no tasks on the shared pool")
+			}
+		})
+	}
+}
+
+// checkPublicQuery checks 1-NN, k-NN and DTW answers for q against the
+// serial scan and returns them in that order.
+func checkPublicQuery(t *testing.T, idx *dsidx.MESSI, coll *dsidx.Collection, q dsidx.Series) []dsidx.Match {
+	t.Helper()
+	want := dsidx.ScanNearest(coll, q)
+	got, err := idx.Search(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if idx.Len() != 2000 {
-		t.Fatalf("Len = %d", idx.Len())
+	if math.Abs(got.Distance-want.Distance) > 1e-6*math.Max(1, want.Distance) {
+		t.Fatalf("MESSI %v != scan %v", got.Distance, want.Distance)
 	}
-	st := idx.Stats()
-	if st.Series != 2000 || st.Leaves == 0 {
-		t.Fatalf("stats %+v", st)
+	// Distances through the public API are true distances (not squared).
+	if got.Distance < 0 {
+		t.Fatal("negative distance")
 	}
 
-	queries := dsidx.GenerateQueries(dsidx.Synthetic, 5, 256, 9)
-	for qi := 0; qi < queries.Len(); qi++ {
-		q := queries.At(qi)
-		want := dsidx.ScanNearest(coll, q)
-		got, err := idx.Search(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(got.Distance-want.Distance) > 1e-6*math.Max(1, want.Distance) {
-			t.Fatalf("query %d: MESSI %v != scan %v", qi, got.Distance, want.Distance)
-		}
-		// Distances through the public API are true distances (not squared).
-		if got.Distance < 0 {
-			t.Fatal("negative distance")
-		}
+	knn, err := idx.SearchKNN(q, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(knn) != 3 || math.Abs(knn[0].Distance-got.Distance) > 1e-9 {
+		t.Fatalf("kNN[0] %v != 1NN %v", knn[0].Distance, got.Distance)
+	}
 
-		knn, err := idx.SearchKNN(q, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(knn) != 3 || math.Abs(knn[0].Distance-got.Distance) > 1e-9 {
-			t.Fatalf("query %d: kNN[0] %v != 1NN %v", qi, knn[0].Distance, got.Distance)
-		}
+	dtw, err := idx.SearchDTW(q, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantDTW := dsidx.ScanNearestDTW(coll, q, 10)
+	if math.Abs(dtw.Distance-wantDTW.Distance) > 1e-6*math.Max(1, wantDTW.Distance) {
+		t.Fatalf("DTW %v != scan %v", dtw.Distance, wantDTW.Distance)
+	}
+	if dtw.Distance > got.Distance+1e-9 {
+		t.Fatalf("DTW NN %v above ED NN %v", dtw.Distance, got.Distance)
+	}
+	return append(append([]dsidx.Match{got}, knn...), dtw)
+}
 
-		dtw, err := idx.SearchDTW(q, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantDTW := dsidx.ScanNearestDTW(coll, q, 10)
-		if math.Abs(dtw.Distance-wantDTW.Distance) > 1e-6*math.Max(1, wantDTW.Distance) {
-			t.Fatalf("query %d: DTW %v != scan %v", qi, dtw.Distance, wantDTW.Distance)
-		}
-		if dtw.Distance > got.Distance+1e-9 {
-			t.Fatalf("query %d: DTW NN %v above ED NN %v", qi, dtw.Distance, got.Distance)
-		}
+// TestNewMESSIHonoursShardOptions pins that the partition options take
+// effect on NewMESSI itself.
+func TestNewMESSIHonoursShardOptions(t *testing.T) {
+	coll := dsidx.Generate(dsidx.Synthetic, 300, 64, 3)
+	idx, err := dsidx.NewMESSI(coll, dsidx.WithShards(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idx.Close()
+	if got := idx.Shards(); got != 3 {
+		t.Fatalf("NewMESSI(WithShards(3)).Shards() = %d", got)
+	}
+	if _, err := dsidx.NewMESSI(coll, dsidx.WithShardPolicy(dsidx.ShardPolicy(99))); err == nil {
+		t.Fatal("NewMESSI accepted an unknown shard policy")
 	}
 }
 
@@ -122,13 +187,23 @@ func TestMESSIBatchSearchPublicAPI(t *testing.T) {
 
 func TestMESSIServePublicAPI(t *testing.T) {
 	coll := dsidx.Generate(dsidx.Synthetic, 1500, 256, 13)
-	idx, err := dsidx.NewMESSI(coll, dsidx.WithLeafCapacity(64))
+	queries := dsidx.GeneratePerturbedQueries(coll, 9, 0.05, 13)
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			checkServe(t, coll, queries, shards)
+		})
+	}
+}
+
+// checkServe streams a mix of NN, k-NN and DTW requests through Serve and
+// checks each response against the direct wrapper's answer.
+func checkServe(t *testing.T, coll, queries *dsidx.Collection, shards int) {
+	idx, err := dsidx.NewMESSI(coll, dsidx.WithShards(shards), dsidx.WithLeafCapacity(64))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer idx.Close()
 
-	queries := dsidx.GeneratePerturbedQueries(coll, 9, 0.05, 13)
 	in := make(chan dsidx.QueryRequest)
 	out := idx.Serve(context.Background(), in)
 	go func() {

@@ -94,8 +94,7 @@ func Build(raw *storage.SeriesFile, leafStore *storage.LeafStore, cfg core.Confi
 
 	// Materialize leaves (the Write component of Figure 4). The paper's
 	// systems interleave flushing with memory pressure; at this repository's
-	// scale a single final flush preserves the same total write volume —
-	// see DESIGN.md, substitutions.
+	// scale a single final flush preserves the same total write volume.
 	t0 := time.Now()
 	var flushErr error
 	tree.VisitLeaves(func(nd *core.Node) {

@@ -101,7 +101,8 @@ func AblationVectorKernels(cfg Config) (*Table, error) {
 // AblationQueryHardness sweeps the query perturbation eps and reports the
 // fraction of the collection surviving the lower-bound scan — the pruning
 // power that every speedup in Figures 8-12 rests on, and the quantitative
-// justification for the perturbed-query substitution in DESIGN.md.
+// justification for the perturbed-query substitution (see the package
+// doc's scaling notes).
 func AblationQueryHardness(cfg Config) (*Table, error) {
 	cfg = cfg.Normalize()
 	w := newWorkload(cfg, gen.Synthetic)

@@ -1,10 +1,10 @@
 // Package experiments reproduces every figure of the paper's evaluation
-// (§IV, Figures 4-12) plus the ablations DESIGN.md calls out. Each
+// (§IV, Figures 4-12) plus ablations of its design choices. Each
 // experiment builds its workload, runs the competing systems, and returns a
 // Table whose rows/series match what the paper plots; EXPERIMENTS.md
 // records the paper-vs-measured comparison.
 //
-// Scaling notes (see DESIGN.md "Substitutions"): collections are scaled
+// Scaling notes: collections are scaled
 // from 100M series to the configured count (default 200K), simulated
 // devices stand in for the RAID0-HDD/SSD testbed, and query workloads for
 // the on-disk figures use perturbed dataset members so that the *pruning

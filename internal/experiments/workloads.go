@@ -20,7 +20,7 @@ import (
 // would move that crossover and invert the paper's comparisons as a pure
 // scale artifact, so the query devices scale sequential bandwidth with the
 // dataset while keeping the physical seek quantum — preserving the
-// scan-vs-seek ratio of the 100GB experiments. See DESIGN.md.
+// scan-vs-seek ratio of the 100GB experiments.
 var (
 	buildHDD = storage.HDD
 	queryHDD = storage.Profile{Name: "HDD(query-scaled)", Seek: 8 * time.Millisecond,

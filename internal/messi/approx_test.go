@@ -95,7 +95,7 @@ func TestConcurrentMixedSearches(t *testing.T) {
 		wg.Add(4)
 		go func() { defer wg.Done(); _, _, _ = ix.Search(q, 2) }()
 		go func() { defer wg.Done(); _, _ = ix.SearchApproximate(q) }()
-		go func() { defer wg.Done(); _, _, _ = ix.SearchKNN(q, 3, 2) }()
+		go func() { defer wg.Done(); _, _, _ = ix.Query(q, Request{Kind: KNN, K: 3, Workers: 2}) }()
 		go func() { defer wg.Done(); _, _, _ = ix.SearchDTW(q, 8, 2) }()
 	}
 	wg.Wait()

@@ -2,7 +2,7 @@ package messi
 
 // Concurrency suite for the shared-worker-pool query engine. Run with
 // -race; the stress tests are the acceptance gate for multi-query serving:
-// ≥64 simultaneous Search/SearchKNN/SearchDTW calls against one index, with
+// ≥64 simultaneous Search/k-NN/SearchDTW calls against one index, with
 // every answer compared bit-for-bit against the serial internal/ucr
 // brute-force ground truth. Equality can be exact (not tolerance-based)
 // because the index and the serial scans share one distance kernel: a
@@ -83,7 +83,7 @@ func (w *stressWorkload) checkQuery(t *testing.T, i int) {
 				i, got.Pos, got.Dist, want.Pos, want.Dist)
 		}
 	case 1:
-		got, _, err := w.ix.SearchKNN(q, stressKNNK, 0)
+		got, _, err := w.ix.Query(q, Request{Kind: KNN, K: stressKNNK})
 		if err != nil {
 			t.Errorf("query %d: %v", i, err)
 			return
@@ -114,7 +114,7 @@ func (w *stressWorkload) checkQuery(t *testing.T, i int) {
 }
 
 func TestConcurrentStress64(t *testing.T) {
-	// 64 goroutines firing mixed Search/SearchKNN/SearchDTW at one index at
+	// 64 goroutines firing mixed Search/k-NN/SearchDTW at one index at
 	// once — all query phases from all queries interleave on the shared
 	// pool. Every answer must equal the serial brute-force answer exactly.
 	w := newStressWorkload(t, 4000)
@@ -156,7 +156,7 @@ func TestBatchSearchMatchesSerial(t *testing.T) {
 	for i := range qs {
 		qs[i] = w.queries.At(i)
 	}
-	got, err := w.ix.BatchSearch(qs)
+	got, _, err := w.ix.BatchSearchStats(qs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,15 +174,15 @@ func TestBatchSearchMatchesSerial(t *testing.T) {
 	if st.Queries != uint64(len(qs)) {
 		t.Errorf("engine counted %d queries, want %d", st.Queries, len(qs))
 	}
-	if st.PeakInFlight > w.ix.MaxInFlight() {
-		t.Errorf("peak in-flight %d exceeds admission bound %d", st.PeakInFlight, w.ix.MaxInFlight())
+	if st.PeakInFlight > w.ix.eng.MaxInFlight() {
+		t.Errorf("peak in-flight %d exceeds admission bound %d", st.PeakInFlight, w.ix.eng.MaxInFlight())
 	}
 }
 
 func TestBatchSearchReportsQueryError(t *testing.T) {
 	w := newStressWorkload(t, 1000)
 	bad := make(series.Series, 3) // wrong length
-	if _, err := w.ix.BatchSearch([]series.Series{w.queries.At(0), bad}); err == nil {
+	if _, _, err := w.ix.BatchSearchStats([]series.Series{w.queries.At(0), bad}); err == nil {
 		t.Fatal("batch with a wrong-length query returned no error")
 	}
 }

@@ -172,7 +172,7 @@ func TestConcurrentDeleteStress(t *testing.T) {
 					}
 					o.res = []core.Result{res}
 				case 1:
-					res, _, err := ix.SearchKNN(q, delStressKNNK, 0)
+					res, _, err := ix.Query(q, Request{Kind: KNN, K: delStressKNNK})
 					if err != nil {
 						t.Error(err)
 						return

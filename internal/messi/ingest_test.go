@@ -2,7 +2,7 @@ package messi
 
 // Live-ingestion suite. Run with -race: the stress test is the acceptance
 // gate for concurrent append+query serving — writer goroutines stream new
-// series into the index while readers run mixed Search/SearchKNN/SearchDTW,
+// series into the index while readers run mixed Search/k-NN/SearchDTW,
 // and every answer is compared bit-for-bit against a serial internal/ucr
 // scan over exactly the collection snapshot the query observed (the
 // QueryStats.Observed prefix). Equality can be exact because the index and
@@ -257,7 +257,7 @@ func TestIngestRaceStress(t *testing.T) {
 					}
 					recs = append(recs, ingestRecord{kind: 0, qi: qi, observed: st.Observed, nn: got})
 				case 1:
-					got, st, err := ix.SearchKNN(q, ingestKNNK, 0)
+					got, st, err := ix.Query(q, Request{Kind: KNN, K: ingestKNNK})
 					if err != nil {
 						t.Error(err)
 						return

@@ -171,11 +171,11 @@ func TestLeafMaterializationAnswerEquivalence(t *testing.T) {
 		if a != b {
 			t.Fatalf("query %d: ED answers diverge: %+v vs %+v", qi, a, b)
 		}
-		ka, _, err := mat.SearchKNN(q, 5, 4)
+		ka, _, err := mat.Query(q, Request{Kind: KNN, K: 5, Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
-		kb, _, err := pos.SearchKNN(q, 5, 4)
+		kb, _, err := pos.Query(q, Request{Kind: KNN, K: 5, Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -42,7 +42,6 @@
 package messi
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"slices"
@@ -152,12 +151,12 @@ type snapshot struct {
 // queries while accepting live appends.
 //
 // Query answering runs on a persistent, index-owned worker pool shared by
-// every in-flight query (see internal/engine): Search, SearchKNN and
-// SearchDTW may be called concurrently from any number of goroutines, and
-// their traversal/refinement tasks interleave on the pool instead of
-// spawning per-call goroutines. Append and AppendBatch (ingest.go) are safe
-// concurrently with all of the above. Close releases the pool; an unclosed
-// Index releases it when garbage-collected.
+// every in-flight query (see internal/engine): Query and its Search and
+// SearchDTW wrappers may be called concurrently from any number of
+// goroutines, and their traversal/refinement tasks interleave on the pool
+// instead of spawning per-call goroutines. Append and AppendBatch
+// (ingest.go) are safe concurrently with all of the above. Close releases
+// the pool; an unclosed Index releases it when garbage-collected.
 type Index struct {
 	cfg     core.Config
 	opt     Options
@@ -229,9 +228,6 @@ type Index struct {
 	engRef  *engineRef
 	scratch sync.Pool // *searchScratch, sized for cfg/opt
 	lbPool  sync.Pool // *lbScratch, one per concurrently running task
-
-	regOnce sync.Once
-	reg     *metrics.Registry
 }
 
 // engineRef pairs the index's engine reference with a once, so Close and
@@ -305,40 +301,15 @@ func (ix *Index) Close() { ix.engRef.release() }
 func (ix *Index) EngineStats() engine.Stats { return ix.eng.Stats() }
 
 // Admit blocks until the engine's admission control grants a query slot and
-// returns its release function. BatchSearch and the public serving layer
-// wrap every query in an Admit/release pair.
+// returns its release function. Callers that run their own concurrent
+// queries (the concurrency experiments) wrap each in an Admit/release pair.
 func (ix *Index) Admit() (release func()) { return ix.eng.Admit() }
-
-// AdmitContext is Admit with cancellation: release is nil and err non-nil
-// if ctx is done before a slot frees.
-func (ix *Index) AdmitContext(ctx context.Context) (release func(), err error) {
-	return ix.eng.AdmitContext(ctx)
-}
-
-// AdmitTenantContext is AdmitContext under a tenant identity: the query
-// clears the tenant's own admission gate before the global one, so one
-// tenant's storm queues on its own gate instead of capturing the shared
-// window. Tenant "" is exactly AdmitContext.
-func (ix *Index) AdmitTenantContext(ctx context.Context, tenant string) (release func(), err error) {
-	return ix.eng.AdmitTenantContext(ctx, tenant)
-}
-
-// TenantStats snapshots the engine's per-tenant accounting, sorted by
-// tenant ID; empty until the first tenanted call.
-func (ix *Index) TenantStats() []engine.TenantStat { return ix.eng.TenantStats() }
-
-// MaxInFlight returns the admission bound on concurrently admitted queries.
-func (ix *Index) MaxInFlight() int { return ix.eng.MaxInFlight() }
 
 // ProbeLeaves returns the live approximate-phase probe count — the
 // configured value unless AutoTune has moved it (the per-query
 // QueryStats.ProbeLeaves may be lower when a query's root subtree holds
 // fewer leaves).
 func (ix *Index) ProbeLeaves() int { return ix.probeLeavesNow() }
-
-// Searches returns the number of Shared-entry searches this index has
-// served — for a sharded index, this shard's sub-search count.
-func (ix *Index) Searches() uint64 { return ix.searches.Load() }
 
 // Health is one index's fault-tolerance snapshot: how often queries and
 // merges hit contained faults, alongside the engine's panic-containment

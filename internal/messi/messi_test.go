@@ -1,7 +1,6 @@
 package messi
 
 import (
-	"context"
 	"math"
 	"testing"
 
@@ -144,7 +143,7 @@ func TestSearchKNNMatchesSerialKNN(t *testing.T) {
 	for qi := 0; qi < queries.Len(); qi++ {
 		q := queries.At(qi)
 		want := ucr.ScanKNN(coll, q, k)
-		got, _, err := ix.SearchKNN(q, k, 8)
+		got, _, err := ix.Query(q, Request{Kind: KNN, K: k, Workers: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,10 +161,10 @@ func TestSearchKNNMatchesSerialKNN(t *testing.T) {
 func TestSearchKNNDegenerate(t *testing.T) {
 	coll, queries := dataset(t, gen.Synthetic, 100)
 	ix := build(t, coll, 4)
-	if got, _, err := ix.SearchKNN(queries.At(0), 0, 2); err != nil || got != nil {
-		t.Errorf("k=0: (%v,%v)", got, err)
+	if got, _, err := ix.Query(queries.At(0), Request{Kind: KNN, K: 0, Workers: 2}); err == nil {
+		t.Errorf("k=0 accepted: %v", got)
 	}
-	got, _, err := ix.SearchKNN(queries.At(0), 1, 2)
+	got, _, err := ix.Query(queries.At(0), Request{Kind: KNN, K: 1, Workers: 2})
 	if err != nil || len(got) != 1 {
 		t.Fatalf("k=1: %v %v", got, err)
 	}
@@ -253,14 +252,6 @@ func TestIndexAdmissionProbeAndRaw(t *testing.T) {
 	if got := ix.ProbeLeaves(); got < 1 {
 		t.Fatalf("ProbeLeaves() = %d", got)
 	}
-	if ix.MaxInFlight() <= 0 {
-		t.Fatalf("MaxInFlight() = %d", ix.MaxInFlight())
-	}
 	release := ix.Admit()
-	release()
-	release, err := ix.AdmitContext(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
 	release()
 }

@@ -3,10 +3,9 @@ package messi
 import "dsidx/internal/metrics"
 
 // RegisterMetrics wires this index's ingest, query and tuning surfaces
-// into r, with the given constant labels on every instrument (a
-// sharding layer passes shard="i"; a standalone index passes none). The
-// engine's families are registered separately — by the index's Registry
-// for a standalone index, once for the whole pool by a sharding layer.
+// into r, with the given constant labels on every instrument (the sharding
+// layer passes shard="i"). The engine's families are registered
+// separately, once for the whole pool.
 func (ix *Index) RegisterMetrics(r *metrics.Registry, labels ...metrics.Label) {
 	lbl := func(m metrics.Metric) metrics.Metric {
 		if len(labels) == 0 {
@@ -65,15 +64,4 @@ func (ix *Index) RegisterMetrics(r *metrics.Registry, labels ...metrics.Label) {
 			Help: "Knob changes applied by AutoTune since creation.",
 		}, func() float64 { return float64(ix.tuneAdjusts.Load()) })),
 	)
-}
-
-// Registry returns the index's metrics registry — engine families plus
-// this index's ingest/query/tuning families — built on first call.
-func (ix *Index) Registry() *metrics.Registry {
-	ix.regOnce.Do(func() {
-		ix.reg = metrics.NewRegistry()
-		ix.eng.RegisterMetrics(ix.reg)
-		ix.RegisterMetrics(ix.reg)
-	})
-	return ix.reg
 }

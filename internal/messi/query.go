@@ -572,15 +572,6 @@ func (ix *Index) Search(q series.Series, workers int) (core.Result, *QueryStats,
 	return core.First(rs), st, err
 }
 
-// SearchKNN answers an exact k-NN query, returning the k nearest series in
-// ascending distance order; k ≤ 0 answers nothing.
-func (ix *Index) SearchKNN(q series.Series, k, workers int) ([]core.Result, *QueryStats, error) {
-	if k <= 0 {
-		return nil, &QueryStats{}, nil
-	}
-	return ix.Query(q, Request{Kind: KNN, K: k, Workers: workers})
-}
-
 // SearchDTW answers an exact 1-NN query under DTW with a Sakoe-Chiba band
 // of half-width window.
 func (ix *Index) SearchDTW(q series.Series, window, workers int) (core.Result, *QueryStats, error) {
@@ -644,12 +635,6 @@ func (ix *Index) BatchSearchStats(qs []series.Series) ([]core.Result, []QuerySta
 	return RunBatch(ix.eng, qs, func(q series.Series) (core.Result, *QueryStats, error) {
 		return ix.Search(q, 0)
 	})
-}
-
-// BatchSearch is BatchSearchStats without the per-query stats.
-func (ix *Index) BatchSearch(qs []series.Series) ([]core.Result, error) {
-	results, _, err := ix.BatchSearchStats(qs)
-	return results, err
 }
 
 // deltaBlock is the delta-scan work-claiming granularity in series.

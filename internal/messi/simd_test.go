@@ -28,7 +28,7 @@ func TestSearchImplIndependent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fastK, _, err := ix.SearchKNN(q, 5, 4)
+		fastK, _, err := ix.Query(q, Request{Kind: KNN, K: 5, Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -38,7 +38,7 @@ func TestSearchImplIndependent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		slowK, _, err := ix.SearchKNN(q, 5, 4)
+		slowK, _, err := ix.Query(q, Request{Kind: KNN, K: 5, Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}

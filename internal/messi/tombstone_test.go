@@ -228,7 +228,7 @@ func TestDeleteVisibleInAllFlavors(t *testing.T) {
 		if want := ucr.ScanLive(mirror, q, 0, dead); got != core.Result(want) {
 			t.Fatalf("%s: 1-NN %+v, want %+v", state, got, want)
 		}
-		knn, _, err := ix.SearchKNN(q, 4, 0)
+		knn, _, err := ix.Query(q, Request{Kind: KNN, K: 4})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,6 +6,7 @@ import (
 
 	"dsidx/internal/core"
 	"dsidx/internal/gen"
+	"dsidx/internal/metrics"
 )
 
 // newTuneIndex builds a small index with a known knob configuration
@@ -83,10 +84,9 @@ func TestTuningInertWithoutAutoTune(t *testing.T) {
 
 func TestRegistryRendersIngestAndTuningFamilies(t *testing.T) {
 	ix := newTuneIndex(t, true)
-	r := ix.Registry()
-	if ix.Registry() != r {
-		t.Fatal("Registry not memoized")
-	}
+	r := metrics.NewRegistry()
+	ix.eng.RegisterMetrics(r)
+	ix.RegisterMetrics(r)
 	runWindow(t, ix, tuneWindow, 0)
 	text := r.Text()
 	for _, want := range []string{

@@ -512,8 +512,6 @@ func (s *Sharded) AdmitContext(ctx context.Context) (release func(), err error) 
 	return s.eng.AdmitContext(ctx)
 }
 
-// MaxInFlight returns the admission bound on concurrently admitted
-// scatter-gather queries.
 // AdmitTenantContext is AdmitContext under a tenant identity; tenant "" is
 // exactly AdmitContext.
 func (s *Sharded) AdmitTenantContext(ctx context.Context, tenant string) (release func(), err error) {
@@ -523,6 +521,8 @@ func (s *Sharded) AdmitTenantContext(ctx context.Context, tenant string) (releas
 // TenantStats snapshots the shared pool's per-tenant accounting.
 func (s *Sharded) TenantStats() []engine.TenantStat { return s.eng.TenantStats() }
 
+// MaxInFlight returns the admission bound on concurrently admitted
+// scatter-gather queries.
 func (s *Sharded) MaxInFlight() int { return s.eng.MaxInFlight() }
 
 // view captures one consistent cross-shard cut: the per-shard append
@@ -540,9 +540,12 @@ func (s *Sharded) view() (cuts []int32, observed int) {
 
 // scatter runs fn for every shard concurrently (each call coordinates its
 // shard's search, whose tasks run on the shared pool) and merges the
-// per-shard work stats into stats. The logical query is counted once here;
-// the per-shard sub-searches register only as active executors, so the
-// engine's Queries counter reads in logical QPS at any shard count.
+// per-shard work stats into stats. The last available shard runs on the
+// calling goroutine and the others on goroutines of their own, so a
+// one-shard index pays no goroutine handoff per query. The logical query
+// is counted once here; the per-shard sub-searches register only as active
+// executors, so the engine's Queries counter reads in logical QPS at any
+// shard count.
 //
 // Fault handling: quarantined shards are skipped up front, and a shard
 // that fails mid-query with a storage-classified error (a contained
@@ -558,16 +561,23 @@ func (s *Sharded) scatter(tenant string, stats *messi.QueryStats, fn func(si int
 	errs := make([]error, s.n)
 	skipped := make([]bool, s.n)
 	var wg sync.WaitGroup
+	last := -1
 	for si := 0; si < s.n; si++ {
 		if !s.available(si) {
 			skipped[si] = true
 			continue
 		}
-		wg.Add(1)
-		go func(si int) {
-			defer wg.Done()
-			sts[si], errs[si] = fn(si)
-		}(si)
+		if last >= 0 {
+			wg.Add(1)
+			go func(si int) {
+				defer wg.Done()
+				sts[si], errs[si] = fn(si)
+			}(last)
+		}
+		last = si
+	}
+	if last >= 0 {
+		sts[last], errs[last] = fn(last)
 	}
 	wg.Wait()
 	var skippedIDs, failedIDs []int

@@ -3,9 +3,8 @@ package dsidx
 import (
 	"context"
 
-	"dsidx/internal/core"
-	"dsidx/internal/engine"
 	"dsidx/internal/messi"
+	"dsidx/internal/shard"
 )
 
 // MESSI is the parallel in-memory index (paper §III, Figure 3). Queries are
@@ -24,21 +23,27 @@ import (
 // reaches WithMergeThreshold — folds them into the tree without blocking
 // readers. IngestStats exposes the write path's counters; Flush forces a
 // synchronous merge.
+//
+// The collection is partitioned across WithShards independent trees (one
+// by default) that answer as one: queries scatter to every shard with a
+// single shared best-so-far (a bound found on one shard prunes the others
+// mid-flight) and gather results in the collection's global position
+// space, so every answer is identical at any shard count. All shards share
+// one worker pool and one admission budget, so WithWorkers and
+// WithMaxInFlight govern the whole index, not each shard.
 type MESSI struct {
-	inner *messi.Index
+	inner *shard.Sharded
 }
 
-// NewMESSI builds a MESSI index over an in-memory collection.
+// NewMESSI builds a MESSI index over an in-memory collection, partitioned
+// by WithShards and WithShardPolicy.
 func NewMESSI(coll *Collection, opts ...Option) (*MESSI, error) {
 	o := buildOptions(opts)
-	inner, err := messi.Build(coll, o.coreConfig(), messi.Options{
-		Workers:        o.workers,
-		MaxInFlight:    o.maxInFlight,
-		MergeThreshold: o.mergeThreshold,
-		ProbeLeaves:    o.probeLeaves,
-		DisableLeafRaw: o.leafRawOff,
-		AutoTune:       o.autoTune,
-	})
+	so, err := o.shardOptions()
+	if err != nil {
+		return nil, err
+	}
+	inner, err := shard.Build(coll, o.coreConfig(), so)
 	if err != nil {
 		return nil, err
 	}
@@ -50,6 +55,9 @@ func NewMESSI(coll *Collection, opts ...Option) (*MESSI, error) {
 // correctly, executing serially on the calling goroutine.
 func (ix *MESSI) Close() { ix.inner.Close() }
 
+// Shards returns the number of partitions.
+func (ix *MESSI) Shards() int { return ix.inner.Shards() }
+
 // Query answers one request — any QueryKind, under the request's tenant —
 // through the same conversion Serve uses. Matches is empty when nothing
 // visible matches (an empty or fully deleted index, or a window holding
@@ -60,15 +68,15 @@ func (ix *MESSI) Query(req QueryRequest) QueryResponse { return answer(ix, req) 
 // or the sentinel Match{Pos: -1, Distance: +Inf} when nothing is visible.
 func (ix *MESSI) Search(q Series) (Match, error) { return single(ix.Query(QueryRequest{Query: q})) }
 
-// SearchWithWorkers is Search with an explicit worker count (for scaling
-// studies).
+// SearchWithWorkers is Search with an explicit per-shard worker count (for
+// scaling studies).
 func (ix *MESSI) SearchWithWorkers(q Series, workers int) (Match, error) {
 	r, _, err := ix.inner.Search(q, workers)
 	return matchOf(r), err
 }
 
 // SearchKNN returns the exact k nearest neighbors of q in ascending
-// distance order.
+// distance order; one k-best set is shared by every shard.
 func (ix *MESSI) SearchKNN(q Series, k int) ([]Match, error) {
 	rs, _, err := ix.inner.SearchKNN(q, k, 0)
 	return matchesOf(rs), err
@@ -82,32 +90,50 @@ func (ix *MESSI) SearchDTW(q Series, window int) (Match, error) {
 }
 
 // SearchApproximate returns the classic iSAX approximate answer: the best
-// series of the leaves matching the query's summary, in microseconds. Its
-// distance is an upper bound on the exact answer's distance.
+// series of the leaves matching the query's summary (the best among the
+// shards' probes), in microseconds. Its distance is an upper bound on the
+// exact answer's distance.
 func (ix *MESSI) SearchApproximate(q Series) (Match, error) {
 	return single(ix.Query(QueryRequest{Query: q, Kind: QueryApprox}))
 }
 
 // SearchWindow returns the exact nearest neighbor of q among the most
 // recent n appended-or-built series — a sliding-window query. The window is
-// a consistent suffix captured at call time: series landing mid-query are
-// invisible, deleted series are skipped, and a window wider than everything
-// landed degenerates to Search.
+// a consistent global suffix captured at call time, however appends were
+// routed to shards: series landing mid-query are invisible, deleted series
+// are skipped, and a window wider than everything landed degenerates to
+// Search.
 func (ix *MESSI) SearchWindow(q Series, n int) (Match, error) {
 	return single(ix.Query(QueryRequest{Query: q, Kind: QueryWindowNN, LastN: n}))
 }
 
-// Stats returns the index tree shape.
-func (ix *MESSI) Stats() IndexStats { return statsOf(ix.inner.Tree()) }
+// Stats returns the index tree shape, merged over the shards' trees.
+func (ix *MESSI) Stats() IndexStats {
+	var out IndexStats
+	for si := 0; si < ix.inner.Shards(); si++ {
+		st := statsOf(ix.inner.Shard(si).Tree())
+		out.Series += st.Series
+		out.RootNodes += st.RootNodes
+		out.InnerNodes += st.InnerNodes
+		out.Leaves += st.Leaves
+		out.MaxDepth = max(out.MaxDepth, st.MaxDepth)
+		out.LeafFillAvg += st.LeafFillAvg * float64(st.Leaves)
+	}
+	if out.Leaves > 0 {
+		out.LeafFillAvg /= float64(out.Leaves)
+	}
+	return out
+}
 
 // Len returns the number of indexed series, including live appends.
 func (ix *MESSI) Len() int { return ix.inner.Count() }
 
 // Append adds one series to the serving index and returns its position
-// (positions continue past the build-time collection). The series becomes
-// visible to queries before Append returns; a background merge folds it
-// into the index tree later. Safe for concurrent use with queries, other
-// appends, Flush, Save and Close.
+// (positions continue past the build-time collection, in arrival order,
+// whichever shard the series routes to). The series becomes visible to
+// queries before Append returns; a background merge folds it into its
+// shard's tree later. Safe for concurrent use with queries, other appends,
+// Flush, Save and Close.
 func (ix *MESSI) Append(s Series) (int, error) { return ix.inner.Append(s) }
 
 // AppendBatch adds a batch of series at consecutive positions, returning
@@ -116,9 +142,9 @@ func (ix *MESSI) Append(s Series) (int, error) { return ix.inner.Append(s) }
 func (ix *MESSI) AppendBatch(ss []Series) (int, error) { return ix.inner.AppendBatch(ss) }
 
 // Flush synchronously merges every series appended before the call into
-// the index tree. Queries do not require it — unmerged series are already
-// searched exactly — so Flush is about merge timing (e.g. before Save, or
-// to bound per-query delta-scan cost ahead of a traffic spike).
+// its shard's tree. Queries do not require it — unmerged series are
+// already searched exactly — so Flush is about merge timing (e.g. before
+// Save, or to bound per-query delta-scan cost ahead of a traffic spike).
 func (ix *MESSI) Flush() { ix.inner.Flush() }
 
 // Delete removes the series at position pos from every future search: it
@@ -159,7 +185,7 @@ func (ix *MESSI) Tombstoned() int { return ix.inner.Tombstoned() }
 // Live counts landed-and-not-deleted series.
 func (ix *MESSI) Live() int { return ix.inner.Live() }
 
-// Compact synchronously flushes pending appends and rebuilds the index
+// Compact synchronously flushes pending appends and rebuilds every shard's
 // tree without its tombstoned entries, reclaiming their tree residency.
 // Searches never require it — tombstoned series are filtered either way —
 // and it is safe to call concurrently with queries and appends.
@@ -180,8 +206,8 @@ type IngestStats struct {
 	// cycle that installed a new tree).
 	Merges        uint64
 	SnapshotSwaps uint64
-	// MergeThreshold is the live delta size that triggers a background
-	// merge (the WithMergeThreshold option, possibly moved by
+	// MergeThreshold is the live per-shard delta size that triggers a
+	// background merge (the WithMergeThreshold option, possibly moved by
 	// WithAutoTune).
 	MergeThreshold int
 	// Live and Tombstoned partition the landed series (base plus appends)
@@ -190,8 +216,10 @@ type IngestStats struct {
 	Tombstoned int
 }
 
-// ingestStatsOf mirrors the internal snapshot into the public type.
-func ingestStatsOf(st messi.IngestStats) IngestStats {
+// IngestStats snapshots the write path's counters, summed over the
+// shards.
+func (ix *MESSI) IngestStats() IngestStats {
+	st := ix.inner.IngestStats()
 	return IngestStats{
 		Appended:       st.Appended,
 		Pending:        st.Pending,
@@ -202,11 +230,6 @@ func ingestStatsOf(st messi.IngestStats) IngestStats {
 		Live:           st.Live,
 		Tombstoned:     st.Tombstoned,
 	}
-}
-
-// IngestStats snapshots the write path's counters.
-func (ix *MESSI) IngestStats() IngestStats {
-	return ingestStatsOf(ix.inner.IngestStats())
 }
 
 // BatchSearch answers one exact 1-NN query per element of qs, running them
@@ -237,9 +260,9 @@ type SearchStats struct {
 	// Observed is the number of series the query answered over (base
 	// collection plus published appends at query start).
 	Observed int
-	// UncoveredShards lists the shards a partial-results query (a Sharded
-	// index with WithAllowPartial) could not cover; empty whenever the
-	// answer is complete, and always empty on an unsharded index.
+	// UncoveredShards lists the shards a partial-results query (under
+	// WithAllowPartial) could not cover; empty whenever the answer is
+	// complete.
 	UncoveredShards []int
 }
 
@@ -256,9 +279,9 @@ func statsFromQuery(st messi.QueryStats) SearchStats {
 }
 
 // BatchSearchStats is BatchSearch additionally returning each query's work
-// stats, so batched workloads can report pruning ratios the same way
-// single-query experiments do. stats[i] describes the query that produced
-// results[i].
+// stats, merged across shards, so batched workloads can report pruning
+// ratios the same way single-query experiments do. stats[i] describes the
+// query that produced results[i].
 func (ix *MESSI) BatchSearchStats(qs []Series) ([]Match, []SearchStats, error) {
 	rs, sts, err := ix.inner.BatchSearchStats(qs)
 	stats := make([]SearchStats, len(sts))
@@ -301,8 +324,10 @@ type EngineStats struct {
 	BgPanics   uint64
 }
 
-// engineStatsOf mirrors the internal snapshot into the public type.
-func engineStatsOf(st engine.Stats) EngineStats {
+// EngineStats snapshots the counters of the one worker pool every shard
+// shares. Sample it periodically to derive throughput.
+func (ix *MESSI) EngineStats() EngineStats {
+	st := ix.inner.EngineStats()
 	return EngineStats{
 		Workers:         st.Workers,
 		PendingTasks:    st.PendingTasks,
@@ -319,12 +344,13 @@ func engineStatsOf(st engine.Stats) EngineStats {
 }
 
 // Health is an index's liveness snapshot: how many queries ran, how many
-// failed with a contained error instead of crashing, and how many
-// background merges were abandoned after a contained panic. A healthy
-// index reports zeros everywhere but Searches.
+// failed with a contained error instead of crashing, how many background
+// merges were abandoned after a contained panic, and each shard's serving
+// state. A healthy index reports zeros everywhere but Searches, Live and
+// Shards, and an empty Quarantined.
 type Health struct {
-	// Searches counts exact/approximate searches started;
-	// FailedSearches the subset that returned an error.
+	// Searches counts per-shard searches started (one query over N shards
+	// counts N); FailedSearches the subset that returned an error.
 	Searches       uint64
 	FailedSearches uint64
 	// MergeAborts counts background merges abandoned because a task
@@ -339,13 +365,37 @@ type Health struct {
 	// deleted/expired.
 	Live       int
 	Tombstoned int
+	// Shards holds one entry per shard; Quarantined lists the ids not
+	// currently serving, ascending.
+	Shards      []ShardHealth
+	Quarantined []int
 }
 
-// Health snapshots the index's failure counters. Safe to call concurrently
-// with queries and appends.
+// ShardHealth is one shard's serving condition.
+type ShardHealth struct {
+	// State is "serving", "quarantined" (repeated permanent device
+	// failures; queries skip the shard) or "restaging" (being rewritten
+	// onto a fresh store).
+	State string
+	// Cold reports whether the shard's base values live on the
+	// out-of-core tier.
+	Cold bool
+	// Failures counts queries the shard failed with a storage-classified
+	// error; PermanentFailures is the permanent subset.
+	Failures          uint64
+	PermanentFailures uint64
+	// Quarantines and Restages count lifecycle transitions.
+	Quarantines uint64
+	Restages    uint64
+	// LastError describes the most recent storage failure ("" when none).
+	LastError string
+}
+
+// Health snapshots the index's serving condition. Safe to call
+// concurrently with queries, appends and background re-stages.
 func (ix *MESSI) Health() Health {
 	h := ix.inner.Health()
-	return Health{
+	out := Health{
 		Searches:       h.Searches,
 		FailedSearches: h.FailedSearches,
 		MergeAborts:    h.MergeAborts,
@@ -353,13 +403,26 @@ func (ix *MESSI) Health() Health {
 		BgPanics:       h.BgPanics,
 		Live:           h.Live,
 		Tombstoned:     h.Tombstoned,
+		Shards:         make([]ShardHealth, len(h.Shards)),
+		Quarantined:    h.Quarantined,
 	}
+	for i, sh := range h.Shards {
+		out.Shards[i] = ShardHealth{
+			State:             sh.State.String(),
+			Cold:              sh.Cold,
+			Failures:          sh.Failures,
+			PermanentFailures: sh.PermanentFailures,
+			Quarantines:       sh.Quarantines,
+			Restages:          sh.Restages,
+			LastError:         sh.LastError,
+		}
+	}
+	return out
 }
 
 // TenantStats is one tenant's scheduling-and-throughput snapshot.
 type TenantStats struct {
-	// Tenant is the opaque ID supplied on Search*Tenant calls or
-	// QueryRequest.Tenant.
+	// Tenant is the opaque ID supplied in QueryRequest.Tenant.
 	Tenant string
 	// InFlight and ActiveQueries are the tenant's currently admitted and
 	// currently executing query counts.
@@ -371,8 +434,10 @@ type TenantStats struct {
 	AdmitWaits uint64
 }
 
-// tenantStatsOf mirrors the engine's per-tenant snapshot.
-func tenantStatsOf(ts []engine.TenantStat) []TenantStats {
+// TenantStats snapshots every tenant ever seen, sorted by ID; untenanted
+// traffic never appears. Empty until the first tenanted call.
+func (ix *MESSI) TenantStats() []TenantStats {
+	ts := ix.inner.TenantStats()
 	out := make([]TenantStats, len(ts))
 	for i, t := range ts {
 		out[i] = TenantStats{
@@ -386,16 +451,6 @@ func tenantStatsOf(ts []engine.TenantStat) []TenantStats {
 	return out
 }
 
-// TenantStats snapshots every tenant ever seen, sorted by ID; untenanted
-// traffic never appears. Empty until the first tenanted call.
-func (ix *MESSI) TenantStats() []TenantStats { return tenantStatsOf(ix.inner.TenantStats()) }
-
-// EngineStats snapshots the worker pool's counters. Sample it periodically
-// to derive throughput.
-func (ix *MESSI) EngineStats() EngineStats {
-	return engineStatsOf(ix.inner.EngineStats())
-}
-
 // Serve turns the index into a long-running query server: it answers
 // requests from in until in closes or ctx is canceled, then closes the
 // returned channel. Up to MaxInFlight requests are answered concurrently on
@@ -403,20 +458,10 @@ func (ix *MESSI) EngineStats() EngineStats {
 // them to requests by ID. Serve may be called multiple times; all serving
 // loops share the same pool and admission budget.
 //
-// Every request Serve dequeues from in produces exactly one response, Err
-// set when cancellation preempted it; drain the returned channel until it
+// One admission slot covers one request's whole cross-shard scatter. Every
+// request Serve dequeues from in produces exactly one response, Err set
+// when cancellation preempted it; drain the returned channel until it
 // closes to balance submissions against answers after a shutdown.
 func (ix *MESSI) Serve(ctx context.Context, in <-chan QueryRequest) <-chan QueryResponse {
 	return serve(ctx, in, ix)
 }
-
-// query, admitContext and maxInFlight adapt the index to Query and the
-// shared serving loop.
-func (ix *MESSI) query(q Series, r messi.Request) ([]core.Result, error) {
-	rs, _, err := ix.inner.Query(q, r)
-	return rs, err
-}
-func (ix *MESSI) admitContext(ctx context.Context, tenant string) (func(), error) {
-	return ix.inner.AdmitTenantContext(ctx, tenant)
-}
-func (ix *MESSI) maxInFlight() int { return ix.inner.MaxInFlight() }

@@ -4,7 +4,6 @@ import (
 	"net/http"
 	"time"
 
-	"dsidx/internal/metrics"
 	"dsidx/internal/vector"
 )
 
@@ -14,16 +13,6 @@ import (
 // exposes the same counters in Prometheus text exposition format for
 // scraping. Both are pull-based reads of counters the hot paths already
 // maintain — neither adds per-query work.
-
-// MetricsSource is an index that can expose its metrics registry: MESSI
-// and Sharded implement it. The registry is built lazily on first use and
-// lives for the index's lifetime, so handler scrapes are cheap reads.
-type MetricsSource interface {
-	metricsRegistry() *metrics.Registry
-}
-
-func (ix *MESSI) metricsRegistry() *metrics.Registry  { return ix.inner.Registry() }
-func (s *Sharded) metricsRegistry() *metrics.Registry { return s.inner.Registry() }
 
 // VectorImpl reports the distance-kernel implementation that will serve
 // the next query: "avx2" on amd64 CPUs where startup feature detection
@@ -41,17 +30,16 @@ func VectorImpl() string { return vector.Impl() }
 // Process-global, like the CPU it describes.
 func ForceScalarKernels(v bool) { vector.ForceScalar(v) }
 
-// MetricsHandler returns an http.Handler serving src's metrics in
+// MetricsHandler returns an http.Handler serving ix's metrics in
 // Prometheus text exposition format (version 0.0.4). Mount it wherever
 // the scraper looks:
 //
 //	http.Handle("/metrics", dsidx.MetricsHandler(idx))
 //
-// The handler is safe for concurrent scrapes while the index serves
-// queries and ingests appends.
-func MetricsHandler(src MetricsSource) http.Handler {
-	return src.metricsRegistry().Handler()
-}
+// The registry is built on first use and lives for the index's lifetime,
+// so scrapes are cheap reads. The handler is safe for concurrent scrapes
+// while the index serves queries and ingests appends.
+func MetricsHandler(ix *MESSI) http.Handler { return ix.inner.Registry().Handler() }
 
 // TuningStats reports the self-tuning state (the WithAutoTune option):
 // the live knob values and how often the feedback loop has moved them.
@@ -59,12 +47,12 @@ type TuningStats struct {
 	// AutoTune reports whether the feedback loop is active.
 	AutoTune bool
 	// ProbeLeaves is the live probe count (== the configured value when
-	// AutoTune is off). For a sharded index this is shard 0's live value.
+	// AutoTune is off); shard 0's live value.
 	ProbeLeaves int
 	// MergeThreshold is the live merge threshold.
 	MergeThreshold int
-	// Adjustments counts knob changes applied since creation (summed
-	// over all shards for a sharded index).
+	// Adjustments counts knob changes applied since creation, summed
+	// over all shards.
 	Adjustments uint64
 }
 
@@ -79,7 +67,7 @@ type ShardStats struct {
 }
 
 // ColdTierStats reports the out-of-core tier's cache and device counters;
-// the zero value when every shard is hot (or the index is not sharded).
+// the zero value when every shard is hot.
 type ColdTierStats struct {
 	// ColdShards is the number of shards placed on the cold tier.
 	ColdShards int
@@ -112,44 +100,28 @@ type Metrics struct {
 	// two implementations are bit-identical, so this changes throughput,
 	// never answers.
 	VectorImpl string
-	// Shards has one entry per shard for a sharded index, nil for MESSI.
+	// Shards has one entry per shard.
 	Shards []ShardStats
 	// Cold is the out-of-core tier's counters; zero when all-hot.
 	Cold ColdTierStats
 }
 
-// Metrics snapshots all of the index's counter surfaces in one call.
+// Metrics snapshots all of the index's counter surfaces in one call,
+// per-shard routing counters and the cold tier included.
 func (ix *MESSI) Metrics() Metrics {
 	tu := ix.inner.Tuning()
-	return Metrics{
-		Engine: ix.EngineStats(),
-		Ingest: ix.IngestStats(),
-		Tuning: TuningStats{
-			AutoTune:       tu.AutoTune,
-			ProbeLeaves:    tu.ProbeLeaves,
-			MergeThreshold: tu.MergeThreshold,
-			Adjustments:    tu.Adjustments,
-		},
-		VectorImpl: vector.Impl(),
-	}
-}
-
-// Metrics snapshots all of the sharded index's counter surfaces in one
-// call, per-shard routing counters and the cold tier included.
-func (s *Sharded) Metrics() Metrics {
-	tu := s.inner.Tuning()
-	cold := s.inner.ColdStats()
-	shards := make([]ShardStats, s.Shards())
+	cold := ix.inner.ColdStats()
+	shards := make([]ShardStats, ix.Shards())
 	for si := range shards {
 		shards[si] = ShardStats{
 			Shard:      si,
-			BaseSeries: s.inner.ShardBaseLen(si),
-			Appends:    s.inner.ShardAppends(si),
+			BaseSeries: ix.inner.ShardBaseLen(si),
+			Appends:    ix.inner.ShardAppends(si),
 		}
 	}
 	return Metrics{
-		Engine: s.EngineStats(),
-		Ingest: s.IngestStats(),
+		Engine: ix.EngineStats(),
+		Ingest: ix.IngestStats(),
 		Tuning: TuningStats{
 			AutoTune:       tu.AutoTune,
 			ProbeLeaves:    tu.ProbeLeaves,

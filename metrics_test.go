@@ -2,6 +2,7 @@ package dsidx_test
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"net/http/httptest"
 	"strconv"
@@ -15,10 +16,10 @@ import (
 
 // scrape fetches one exposition from the index's metrics handler and
 // parses it, failing the test on any malformed output.
-func scrape(t *testing.T, src dsidx.MetricsSource) (string, map[string]metrics.Family) {
+func scrape(t *testing.T, idx *dsidx.MESSI) (string, map[string]metrics.Family) {
 	t.Helper()
 	rec := httptest.NewRecorder()
-	dsidx.MetricsHandler(src).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	dsidx.MetricsHandler(idx).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	res := rec.Result()
 	defer res.Body.Close()
 	if res.StatusCode != 200 {
@@ -61,9 +62,20 @@ func sampleValues(t *testing.T, text, family string) []float64 {
 	return vals
 }
 
-func TestShardedMetricsSnapshotAndScrape(t *testing.T) {
+func TestMESSIMetricsSnapshotAndScrape(t *testing.T) {
 	coll := dsidx.Generate(dsidx.Synthetic, 1200, 64, 21)
-	idx, err := dsidx.NewSharded(coll, dsidx.WithShards(2), dsidx.WithWorkers(2), dsidx.WithAutoTune(true))
+	for _, c := range []struct {
+		shards   int
+		autoTune bool
+	}{{1, false}, {3, true}} {
+		t.Run(fmt.Sprintf("shards=%d", c.shards), func(t *testing.T) {
+			checkMetricsSnapshotAndScrape(t, coll, c.shards, c.autoTune)
+		})
+	}
+}
+
+func checkMetricsSnapshotAndScrape(t *testing.T, coll *dsidx.Collection, shards int, autoTune bool) {
+	idx, err := dsidx.NewMESSI(coll, dsidx.WithShards(shards), dsidx.WithWorkers(2), dsidx.WithAutoTune(autoTune))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,11 +103,11 @@ func TestShardedMetricsSnapshotAndScrape(t *testing.T) {
 	if m.Ingest.Appended != 30 {
 		t.Fatalf("ingest section: %+v", m.Ingest)
 	}
-	if !m.Tuning.AutoTune || m.Tuning.ProbeLeaves <= 0 || m.Tuning.MergeThreshold <= 0 {
+	if m.Tuning.AutoTune != autoTune || m.Tuning.ProbeLeaves <= 0 || m.Tuning.MergeThreshold <= 0 {
 		t.Fatalf("tuning section: %+v", m.Tuning)
 	}
-	if len(m.Shards) != 2 {
-		t.Fatalf("got %d shard sections", len(m.Shards))
+	if len(m.Shards) != shards {
+		t.Fatalf("got %d shard sections, want %d", len(m.Shards), shards)
 	}
 	base, appends := 0, 0
 	for si, sh := range m.Shards {
@@ -128,8 +140,10 @@ func TestShardedMetricsSnapshotAndScrape(t *testing.T) {
 			t.Errorf("scrape lacks family %s", want)
 		}
 	}
-	if !strings.Contains(text, `shard="0"`) || !strings.Contains(text, `shard="1"`) {
-		t.Fatalf("scrape lacks per-shard labels:\n%s", text)
+	for si := 0; si < shards; si++ {
+		if label := fmt.Sprintf(`shard="%d"`, si); !strings.Contains(text, label) {
+			t.Fatalf("scrape lacks label %s:\n%s", label, text)
+		}
 	}
 	// The exposition and the structured snapshot must agree on totals.
 	var appended float64
@@ -138,31 +152,6 @@ func TestShardedMetricsSnapshotAndScrape(t *testing.T) {
 	}
 	if appended != 30 {
 		t.Fatalf("scraped appended %v, want 30", appended)
-	}
-}
-
-func TestMESSIMetricsSnapshotAndScrape(t *testing.T) {
-	coll := dsidx.Generate(dsidx.Synthetic, 600, 64, 23)
-	idx, err := dsidx.NewMESSI(coll, dsidx.WithWorkers(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer idx.Close()
-	if _, err := idx.Search(dsidx.GenerateQueries(dsidx.Synthetic, 1, 64, 23).At(0)); err != nil {
-		t.Fatal(err)
-	}
-	m := idx.Metrics()
-	if m.Engine.Queries == 0 || m.Shards != nil || m.Tuning.AutoTune {
-		t.Fatalf("MESSI metrics: %+v", m)
-	}
-	_, fams := scrape(t, idx)
-	for _, want := range []string{
-		"dsidx_engine_queries_total", "dsidx_ingest_appended_total",
-		"dsidx_index_query_seconds", "dsidx_tuning_autotune",
-	} {
-		if _, ok := fams[want]; !ok {
-			t.Errorf("scrape lacks family %s", want)
-		}
 	}
 }
 
@@ -230,7 +219,7 @@ func TestVectorImplExposure(t *testing.T) {
 // parseable and the counters they report must never regress.
 func TestMetricsScrapeWhileServing(t *testing.T) {
 	coll := dsidx.Generate(dsidx.Synthetic, 800, 64, 25)
-	idx, err := dsidx.NewSharded(coll, dsidx.WithShards(2), dsidx.WithWorkers(2),
+	idx, err := dsidx.NewMESSI(coll, dsidx.WithShards(2), dsidx.WithWorkers(2),
 		dsidx.WithAutoTune(true), dsidx.WithMergeThreshold(64))
 	if err != nil {
 		t.Fatal(err)

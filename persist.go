@@ -7,8 +7,8 @@ import (
 	"os"
 	"path/filepath"
 
-	"dsidx/internal/messi"
 	"dsidx/internal/paris"
+	"dsidx/internal/shard"
 	"dsidx/internal/storage"
 )
 
@@ -20,31 +20,32 @@ import (
 // nowhere but in the index, so Save includes them — raw values, on-arrival
 // summaries, and the merged/pending split — and LoadMESSI restores the
 // delta buffer exactly as it was, no Flush required before saving.
-// Sharded indexes persist the same way through Sharded.Save/OpenSharded
-// (sharded.go): a DSS1 manifest wrapping each shard's file.
 
-// Save writes the MESSI index to path, including its live-append store
-// (both merged and still-pending series).
+// Save writes the MESSI index to path: a DSS1 manifest wrapping every
+// shard's own index encoding, live-append stores (both merged and still
+// pending series) included.
 func (ix *MESSI) Save(path string) error {
 	return writeFileAtomic(path, ix.inner.Encode())
 }
 
 // LoadMESSI reopens a saved MESSI index over the collection it was built
 // from. The collection's shape is validated against the index; appended
-// series are restored from the file itself.
+// series are restored from the file itself. The file defines the shard
+// count and policy; WithShards and WithShardPolicy, when given, must match
+// it. A single-index file written before the DSS1 manifest existed opens
+// as a 1-shard index with unchanged positions and answers.
 func LoadMESSI(path string, coll *Collection, opts ...Option) (*MESSI, error) {
 	data, err := readIndexFile(path)
 	if err != nil {
 		return nil, err
 	}
-	o := buildOptions(opts)
-	inner, err := messi.Decode(data, coll, messi.Options{
-		Workers:        o.workers,
-		MaxInFlight:    o.maxInFlight,
-		MergeThreshold: o.mergeThreshold,
-		ProbeLeaves:    o.probeLeaves,
-		DisableLeafRaw: o.leafRawOff,
-	})
+	// shardOptions leaves Shards 0 and Policy nil when unset, which Decode
+	// reads as "whatever the file says".
+	so, err := buildOptions(opts).shardOptions()
+	if err != nil {
+		return nil, err
+	}
+	inner, err := shard.Decode(data, coll, so)
 	if err != nil {
 		return nil, err
 	}

@@ -10,12 +10,13 @@ import (
 	"dsidx/internal/storage"
 )
 
-// saveSmallMESSI builds and saves a small index, returning the path and a
-// query whose answer pins the decoded content.
-func saveSmallMESSI(t *testing.T) (string, *dsidx.Collection, dsidx.Series, dsidx.Match) {
+// saveSmallMESSI builds and saves a small index over the given number of
+// shards, returning the path and a query whose answer pins the decoded
+// content.
+func saveSmallMESSI(t *testing.T, shards int) (string, *dsidx.Collection, dsidx.Series, dsidx.Match) {
 	t.Helper()
 	coll := dsidx.Generate(dsidx.Synthetic, 600, 64, 23)
-	idx, err := dsidx.NewMESSI(coll, dsidx.WithLeafCapacity(64))
+	idx, err := dsidx.NewMESSI(coll, dsidx.WithShards(shards), dsidx.WithLeafCapacity(64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,25 +33,27 @@ func saveSmallMESSI(t *testing.T) (string, *dsidx.Collection, dsidx.Series, dsid
 	return path, coll, q, want
 }
 
-// TestLoadRejectsChecksumMismatch flips one byte of a saved index: the
-// load must fail with the typed corruption error, never decode a wrong
-// index.
+// TestLoadRejectsChecksumMismatch flips one byte of a saved index, at one
+// and at several shards: the load must fail with the typed corruption
+// error, never decode a wrong index.
 func TestLoadRejectsChecksumMismatch(t *testing.T) {
-	path, coll, _, _ := saveSmallMESSI(t)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)/2] ^= 0x40
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err = dsidx.LoadMESSI(path, coll)
-	if err == nil {
-		t.Fatal("corrupted index loaded without error")
-	}
-	if !errors.Is(err, storage.ErrCorrupt) {
-		t.Fatalf("corruption surfaced untyped: %v", err)
+	for _, shards := range []int{1, 3} {
+		path, coll, _, _ := saveSmallMESSI(t, shards)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[len(data)/2] ^= 0x40
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err = dsidx.LoadMESSI(path, coll)
+		if err == nil {
+			t.Fatalf("shards=%d: corrupted index loaded without error", shards)
+		}
+		if !errors.Is(err, storage.ErrCorrupt) {
+			t.Fatalf("shards=%d: corruption surfaced untyped: %v", shards, err)
+		}
 	}
 }
 
@@ -58,7 +61,7 @@ func TestLoadRejectsChecksumMismatch(t *testing.T) {
 // the shape of every file saved before it existed — and the load must
 // still succeed with identical answers.
 func TestLoadAcceptsLegacyFileWithoutTrailer(t *testing.T) {
-	path, coll, q, want := saveSmallMESSI(t)
+	path, coll, q, want := saveSmallMESSI(t, 1)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -77,31 +80,5 @@ func TestLoadAcceptsLegacyFileWithoutTrailer(t *testing.T) {
 	}
 	if got != want {
 		t.Fatalf("legacy load answered %+v, want %+v", got, want)
-	}
-}
-
-// TestOpenShardedRejectsChecksumMismatch gives the sharded manifest the
-// same bit-flip treatment.
-func TestOpenShardedRejectsChecksumMismatch(t *testing.T) {
-	coll := dsidx.Generate(dsidx.Synthetic, 600, 64, 29)
-	s, err := dsidx.NewSharded(coll, dsidx.WithShards(2), dsidx.WithLeafCapacity(64))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	path := filepath.Join(t.TempDir(), "idx.dss")
-	if err := s.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)/3] ^= 0x10
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := dsidx.OpenSharded(path, coll); !errors.Is(err, storage.ErrCorrupt) {
-		t.Fatalf("sharded corruption surfaced as %v, want storage.ErrCorrupt", err)
 	}
 }

@@ -248,3 +248,26 @@ func TestMESSISaveLoadWithLiveAppends(t *testing.T) {
 		}
 	}
 }
+
+// TestLoadMESSIHonoursAutoTune pins that options given to LoadMESSI reach
+// the loaded index: WithAutoTune(true) turns the feedback loop on.
+func TestLoadMESSIHonoursAutoTune(t *testing.T) {
+	coll := dsidx.Generate(dsidx.Synthetic, 300, 64, 31)
+	idx, err := dsidx.NewMESSI(coll)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idx.Close()
+	path := filepath.Join(t.TempDir(), "idx.dsi")
+	if err := idx.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := dsidx.LoadMESSI(path, coll, dsidx.WithAutoTune(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer loaded.Close()
+	if !loaded.Metrics().Tuning.AutoTune {
+		t.Fatal("LoadMESSI(WithAutoTune(true)) loaded with the feedback loop off")
+	}
+}

@@ -2,41 +2,29 @@ package dsidx_test
 
 // Public coverage for the single query entry point: Query answers every
 // QueryKind exactly as its direct wrapper does, and a query over nothing
-// visible answers with empty Matches — never a sentinel — on both
-// backends.
+// visible answers with empty Matches — never a sentinel — at one and at
+// several shards.
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"dsidx"
 )
 
-// queryBackend is the method set both public index types share for these
-// tests.
-type queryBackend interface {
-	Query(req dsidx.QueryRequest) dsidx.QueryResponse
-	Search(q dsidx.Series) (dsidx.Match, error)
-	SearchKNN(q dsidx.Series, k int) ([]dsidx.Match, error)
-	SearchDTW(q dsidx.Series, window int) (dsidx.Match, error)
-	SearchApproximate(q dsidx.Series) (dsidx.Match, error)
-	SearchWindow(q dsidx.Series, n int) (dsidx.Match, error)
-	DeleteRange(lo, hi int) (int, error)
-	Close()
-}
-
-// backends builds a plain and a 3-shard index over coll.
-func backends(t *testing.T, coll *dsidx.Collection) map[string]queryBackend {
+// backends builds a 1-shard and a 3-shard index over coll.
+func backends(t *testing.T, coll *dsidx.Collection) map[string]*dsidx.MESSI {
 	t.Helper()
-	m, err := dsidx.NewMESSI(coll, dsidx.WithLeafCapacity(16), dsidx.WithWorkers(2))
-	if err != nil {
-		t.Fatal(err)
+	out := make(map[string]*dsidx.MESSI)
+	for _, shards := range []int{1, 3} {
+		idx, err := dsidx.NewMESSI(coll, dsidx.WithShards(shards), dsidx.WithLeafCapacity(16), dsidx.WithWorkers(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[fmt.Sprintf("shards=%d", shards)] = idx
 	}
-	s, err := dsidx.NewSharded(coll, dsidx.WithShards(3), dsidx.WithLeafCapacity(16), dsidx.WithWorkers(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return map[string]queryBackend{"messi": m, "sharded": s}
+	return out
 }
 
 func TestQueryMatchesWrappers(t *testing.T) {
@@ -79,7 +67,7 @@ func TestQueryMatchesWrappers(t *testing.T) {
 // checkNothingVisible asserts every kind answers empty Matches without an
 // error through Query, and that the direct 1-NN wrappers answer with the
 // documented sentinel.
-func checkNothingVisible(t *testing.T, what string, idx queryBackend, q dsidx.Series, lastN int) {
+func checkNothingVisible(t *testing.T, what string, idx *dsidx.MESSI, q dsidx.Series, lastN int) {
 	t.Helper()
 	reqs := []dsidx.QueryRequest{{Kind: dsidx.QueryWindowNN, LastN: lastN}}
 	if lastN == 0 {

@@ -9,10 +9,6 @@ import (
 	"dsidx/internal/messi"
 )
 
-// Index persistence and serving share one request/response protocol across
-// every serving backend: a plain MESSI index and a Sharded index answer the
-// same QueryRequest stream through the same loop.
-
 // QueryKind selects the search flavor of a QueryRequest.
 type QueryKind int
 
@@ -64,18 +60,9 @@ type QueryResponse struct {
 	Err error
 }
 
-// queryBackend is the method set Query and the serving loop multiplex
-// over, implemented by MESSI and Sharded.
-type queryBackend interface {
-	query(q Series, r messi.Request) ([]core.Result, error)
-	admitContext(ctx context.Context, tenant string) (func(), error)
-	maxInFlight() int
-}
-
-// serve is the shared serving loop behind MESSI.Serve and Sharded.Serve:
-// it answers requests from in until in closes or ctx is canceled, then
+// serve is the serving loop behind MESSI.Serve: it answers requests from in until in closes or ctx is canceled, then
 // closes the returned channel, admitting at most maxInFlight requests at a
-// time onto the backend's worker pool.
+// time onto the index's worker pool.
 //
 // Every request dequeued from in produces exactly one QueryResponse —
 // answered, or carrying Err when cancellation preempted it — so a caller
@@ -83,8 +70,8 @@ type queryBackend interface {
 // shutdown. The caller must drain the returned channel until it closes;
 // its buffer only absorbs the responses in flight at cancellation, it is
 // not a substitute for reading.
-func serve(ctx context.Context, in <-chan QueryRequest, ix queryBackend) <-chan QueryResponse {
-	consumers := ix.maxInFlight()
+func serve(ctx context.Context, in <-chan QueryRequest, ix *MESSI) <-chan QueryResponse {
+	consumers := ix.inner.MaxInFlight()
 	// One buffer slot per consumer: a consumer holding a computed (or
 	// error) response at cancellation time can always deposit it and
 	// exit, even if the reader drains the channel only after the fact.
@@ -115,7 +102,7 @@ func serve(ctx context.Context, in <-chan QueryRequest, ix queryBackend) <-chan 
 						// must not wait behind other traffic for a slot, but
 						// the preempted request still gets its response,
 						// with Err set.
-						release, err := ix.admitContext(ctx, req.Tenant)
+						release, err := ix.inner.AdmitTenantContext(ctx, req.Tenant)
 						if err != nil {
 							out <- QueryResponse{ID: req.ID, Err: err}
 							return
@@ -135,7 +122,7 @@ func serve(ctx context.Context, in <-chan QueryRequest, ix queryBackend) <-chan 
 // answer is the single conversion from a public QueryRequest to the
 // engine's messi.Request, and runs it. A failed or empty answer leaves
 // Matches empty: responses never carry a sentinel answer.
-func answer(ix queryBackend, req QueryRequest) QueryResponse {
+func answer(ix *MESSI, req QueryRequest) QueryResponse {
 	resp := QueryResponse{ID: req.ID}
 	r := messi.Request{Tenant: req.Tenant}
 	switch req.Kind {
@@ -163,7 +150,7 @@ func answer(ix queryBackend, req QueryRequest) QueryResponse {
 		resp.Err = fmt.Errorf("dsidx: request %d has unknown QueryKind %d", req.ID, req.Kind)
 		return resp
 	}
-	rs, err := ix.query(req.Query, r)
+	rs, _, err := ix.inner.Query(req.Query, r)
 	if err != nil {
 		resp.Err = err
 		return resp

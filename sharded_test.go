@@ -1,110 +1,17 @@
 package dsidx
 
 import (
-	"context"
 	"path/filepath"
 	"testing"
+
+	"dsidx/internal/core"
+	"dsidx/internal/messi"
 )
-
-func TestShardedPublicAPI(t *testing.T) {
-	coll := Generate(Synthetic, 3000, 128, 42)
-	queries := GeneratePerturbedQueries(coll, 10, 0.05, 43)
-
-	plain, err := NewMESSI(coll)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer plain.Close()
-	s, err := NewSharded(coll, WithShards(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	if s.Shards() != 4 || s.Len() != coll.Len() {
-		t.Fatalf("shards=%d len=%d", s.Shards(), s.Len())
-	}
-	if st := s.Stats(); st.Series != coll.Len() || st.Leaves == 0 {
-		t.Fatalf("merged stats: %+v", st)
-	}
-
-	// Sharding must not change any answer: 1-NN, k-NN and DTW all match the
-	// unsharded index exactly.
-	for i := 0; i < queries.Len(); i++ {
-		q := queries.At(i)
-		a, err := plain.Search(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := s.Search(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a != b {
-			t.Fatalf("query %d: plain %+v != sharded %+v", i, a, b)
-		}
-		ak, err := plain.SearchKNN(q, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bk, err := s.SearchKNN(q, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(ak) != len(bk) {
-			t.Fatalf("query %d: k-NN sizes %d != %d", i, len(ak), len(bk))
-		}
-		for r := range ak {
-			if ak[r] != bk[r] {
-				t.Fatalf("query %d rank %d: plain %+v != sharded %+v", i, r, ak[r], bk[r])
-			}
-		}
-		ad, err := plain.SearchDTW(q, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bd, err := s.SearchDTW(q, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ad != bd {
-			t.Fatalf("query %d: DTW plain %+v != sharded %+v", i, ad, bd)
-		}
-	}
-
-	// Batch and approximate paths.
-	qs := make([]Series, queries.Len())
-	for i := range qs {
-		qs[i] = queries.At(i)
-	}
-	ms, stats, err := s.BatchSearchStats(qs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range qs {
-		want, err := plain.Search(qs[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ms[i] != want {
-			t.Fatalf("batch %d: %+v != %+v", i, ms[i], want)
-		}
-		if stats[i].Observed != coll.Len() {
-			t.Fatalf("batch %d observed %d", i, stats[i].Observed)
-		}
-	}
-	if am, err := s.SearchApproximate(qs[0]); err != nil || am.Pos < 0 {
-		t.Fatalf("approximate: %+v, %v", am, err)
-	}
-	if est := s.EngineStats(); est.Tasks == 0 {
-		t.Error("sharded queries executed no tasks on the shared pool")
-	}
-}
 
 func TestShardedAppendSaveOpenRoundTrip(t *testing.T) {
 	coll := Generate(Synthetic, 800, 64, 7)
 	extra := Generate(SALD, 150, 64, 8)
-	s, err := NewSharded(coll, WithShards(3), WithShardPolicy(ShardByHash), WithMergeThreshold(1<<30))
+	s, err := NewMESSI(coll, WithShards(3), WithShardPolicy(ShardByHash), WithMergeThreshold(1<<30))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +43,7 @@ func TestShardedAppendSaveOpenRoundTrip(t *testing.T) {
 	if err := s.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := OpenSharded(path, coll)
+	s2, err := LoadMESSI(path, coll)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,17 +75,20 @@ func TestShardedAppendSaveOpenRoundTrip(t *testing.T) {
 	}
 
 	// Topology conflicts surface as errors.
-	if _, err := OpenSharded(path, coll, WithShards(2)); err == nil {
-		t.Fatal("OpenSharded accepted a conflicting shard count")
+	if _, err := LoadMESSI(path, coll, WithShards(2)); err == nil {
+		t.Fatal("LoadMESSI accepted a conflicting shard count")
 	}
-	if _, err := OpenSharded(path, coll, WithShardPolicy(ShardRoundRobin)); err == nil {
-		t.Fatal("OpenSharded accepted a conflicting policy")
+	if _, err := LoadMESSI(path, coll, WithShardPolicy(ShardRoundRobin)); err == nil {
+		t.Fatal("LoadMESSI accepted a conflicting policy")
 	}
 }
 
+// TestShardedOpensLegacyMESSIFile loads a single-index (DSI1/DSL1) file —
+// what MESSI.Save wrote before every index became a DSS1 manifest — as a
+// 1-shard index with unchanged positions and answers.
 func TestShardedOpensLegacyMESSIFile(t *testing.T) {
 	coll := Generate(Synthetic, 500, 64, 17)
-	plain, err := NewMESSI(coll, WithMergeThreshold(1<<30))
+	plain, err := messi.Build(coll, core.Config{}, messi.Options{MergeThreshold: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,21 +100,22 @@ func TestShardedOpensLegacyMESSIFile(t *testing.T) {
 		}
 	}
 	path := filepath.Join(t.TempDir(), "plain.dsidx")
-	if err := plain.Save(path); err != nil {
+	if err := writeFileAtomic(path, plain.Encode()); err != nil {
 		t.Fatal(err)
 	}
 
-	s, err := OpenSharded(path, coll)
+	s, err := LoadMESSI(path, coll)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if s.Shards() != 1 || s.Len() != plain.Len() {
-		t.Fatalf("legacy open: shards=%d len=%d, want 1/%d", s.Shards(), s.Len(), plain.Len())
+	if s.Shards() != 1 || s.Len() != plain.Count() {
+		t.Fatalf("legacy open: shards=%d len=%d, want 1/%d", s.Shards(), s.Len(), plain.Count())
 	}
 	queries := GeneratePerturbedQueries(coll, 6, 0.05, 19)
+	queries.Append(extra.At(7))
 	for i := 0; i < queries.Len(); i++ {
-		a, err := plain.Search(queries.At(i))
+		r, _, err := plain.Search(queries.At(i), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,85 +123,8 @@ func TestShardedOpensLegacyMESSIFile(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if a != b {
+		if a := matchOf(r); a != b {
 			t.Fatalf("legacy query %d: %+v != %+v", i, a, b)
 		}
-	}
-}
-
-func TestShardedServePublicAPI(t *testing.T) {
-	coll := Generate(Synthetic, 1200, 64, 27)
-	queries := GeneratePerturbedQueries(coll, 9, 0.05, 28)
-	s, err := NewSharded(coll, WithShards(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	plain, err := NewMESSI(coll)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer plain.Close()
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	in := make(chan QueryRequest)
-	out := s.Serve(ctx, in)
-	go func() {
-		defer close(in)
-		for i := 0; i < queries.Len(); i++ {
-			req := QueryRequest{ID: int64(i), Query: queries.At(i)}
-			switch i % 3 {
-			case 1:
-				req.Kind = QueryKNN
-				req.K = 3
-			case 2:
-				req.Kind = QueryDTW
-				req.Window = 4
-			}
-			in <- req
-		}
-	}()
-	answered := 0
-	for resp := range out {
-		if resp.Err != nil {
-			t.Fatalf("response %d: %v", resp.ID, resp.Err)
-		}
-		i := int(resp.ID)
-		switch i % 3 {
-		case 0:
-			want, err := plain.Search(queries.At(i))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(resp.Matches) != 1 || resp.Matches[0] != want {
-				t.Fatalf("serve NN %d: %+v != %+v", i, resp.Matches, want)
-			}
-		case 1:
-			want, err := plain.SearchKNN(queries.At(i), 3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(resp.Matches) != len(want) {
-				t.Fatalf("serve KNN %d: %d matches, want %d", i, len(resp.Matches), len(want))
-			}
-			for r := range want {
-				if resp.Matches[r] != want[r] {
-					t.Fatalf("serve KNN %d rank %d: %+v != %+v", i, r, resp.Matches[r], want[r])
-				}
-			}
-		case 2:
-			want, err := plain.SearchDTW(queries.At(i), 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(resp.Matches) != 1 || resp.Matches[0] != want {
-				t.Fatalf("serve DTW %d: %+v != %+v", i, resp.Matches, want)
-			}
-		}
-		answered++
-	}
-	if answered != queries.Len() {
-		t.Fatalf("answered %d of %d requests", answered, queries.Len())
 	}
 }

@@ -1,40 +1,20 @@
 package dsidx_test
 
 // Public-API coverage for the delete/TTL, sliding-window, and tenant
-// surface on both backends: every wrapper is exercised end to end, with
+// surface at one and at several shards: every wrapper is exercised end to end, with
 // answers cross-checked against the serial scan and the untenanted
 // sibling (exact searches are deterministic, so both must agree).
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
 	"dsidx"
 )
 
-// deleteWindowTenantBackend is the shared method set the public test
-// drives on MESSI and Sharded.
-type deleteWindowTenantBackend interface {
-	Len() int
-	Append(s dsidx.Series) (int, error)
-	AppendWithTTL(s dsidx.Series, deadline int64) (int, error)
-	SetTTL(pos int, deadline int64) error
-	ExpireBefore(now int64) int
-	Delete(pos int) (bool, error)
-	DeleteRange(lo, hi int) (int, error)
-	Tombstoned() int
-	Live() int
-	Compact()
-	Search(q dsidx.Series) (dsidx.Match, error)
-	SearchWithWorkers(q dsidx.Series, workers int) (dsidx.Match, error)
-	SearchWindow(q dsidx.Series, n int) (dsidx.Match, error)
-	Query(req dsidx.QueryRequest) dsidx.QueryResponse
-	TenantStats() []dsidx.TenantStats
-	Serve(ctx context.Context, in <-chan dsidx.QueryRequest) <-chan dsidx.QueryResponse
-}
-
-func checkDeleteWindowTenantAPI(t *testing.T, idx deleteWindowTenantBackend, coll *dsidx.Collection) {
+func checkDeleteWindowTenantAPI(t *testing.T, idx *dsidx.MESSI, coll *dsidx.Collection) {
 	t.Helper()
 	q := dsidx.GenerateQueries(dsidx.Synthetic, 1, coll.SeriesLen(), 11).At(0)
 	base := coll.Len()
@@ -213,29 +193,22 @@ func ScanPos(coll *dsidx.Collection, q dsidx.Series) int {
 
 func TestDeleteWindowTenantAPIMESSI(t *testing.T) {
 	coll := dsidx.Generate(dsidx.Synthetic, 400, 64, 11)
-	idx, err := dsidx.NewMESSI(coll, dsidx.WithLeafCapacity(32), dsidx.WithWorkers(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer idx.Close()
-	checkDeleteWindowTenantAPI(t, idx, coll)
-	h := idx.Health()
-	if h.Tombstoned != idx.Tombstoned() || h.Live != idx.Live() {
-		t.Fatalf("Health live/tombstoned %+v disagree with %d/%d", h, idx.Live(), idx.Tombstoned())
-	}
-}
-
-func TestDeleteWindowTenantAPISharded(t *testing.T) {
-	coll := dsidx.Generate(dsidx.Synthetic, 400, 64, 11)
-	idx, err := dsidx.NewSharded(coll, dsidx.WithShards(2),
-		dsidx.WithLeafCapacity(32), dsidx.WithWorkers(2), dsidx.WithAllowPartial(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer idx.Close()
-	checkDeleteWindowTenantAPI(t, idx, coll)
-	h := idx.Health()
-	if h.Tombstoned != idx.Tombstoned() || h.Live != idx.Live() {
-		t.Fatalf("Health live/tombstoned %+v disagree with %d/%d", h, idx.Live(), idx.Tombstoned())
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			idx, err := dsidx.NewMESSI(coll, dsidx.WithShards(shards),
+				dsidx.WithLeafCapacity(32), dsidx.WithWorkers(2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer idx.Close()
+			checkDeleteWindowTenantAPI(t, idx, coll)
+			h := idx.Health()
+			if h.Tombstoned != idx.Tombstoned() || h.Live != idx.Live() {
+				t.Fatalf("Health live/tombstoned %+v disagree with %d/%d", h, idx.Live(), idx.Tombstoned())
+			}
+			if len(h.Shards) != shards || len(h.Quarantined) != 0 {
+				t.Fatalf("Health shards %+v, quarantined %v; want %d serving", h.Shards, h.Quarantined, shards)
+			}
+		})
 	}
 }
